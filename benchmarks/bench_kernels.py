@@ -1,12 +1,13 @@
-"""Benchmark the numba kernels against their pure-numpy fallbacks.
+"""Benchmark the hot kernels.
 
 Run from the repository root:
 
     python benchmarks/bench_kernels.py
 
-Both implementations are called directly (no env-flag juggling); the
-numba path is warmed once so compilation time is reported separately
-from steady-state throughput.
+The grid screen's numba and numpy implementations are called directly
+(no env-flag juggling); the numba path is warmed once so compilation time
+is reported separately from steady-state throughput.  The logistic-
+regression kernel is timed for one C value and for a batch of four.
 """
 
 import time
@@ -59,22 +60,14 @@ def bench_logreg():
     N, D = 2500, 27
     X = rng.random(size=(N, D))
     y = (rng.random(N) < 0.5).astype(np.float64)
-    alpha, step, iters = 1e-4, 0.05, 600
+    step, iters = 0.05, 600
+    alphas = [1.0 / (c * N) for c in (1.0, 10.0, 50.0, 100.0)]
 
-    if kernels.HAVE_NUMBA:
-        t0 = time.perf_counter()
-        kernels.logreg_fit_numba(X[:64], y[:64], alpha, step, 10)
-        compile_s = time.perf_counter() - t0
-        t_numba = _time(kernels.logreg_fit_numba, X, y, alpha, step, iters)
-    else:
-        compile_s = float("nan")
-        t_numba = float("nan")
-    t_numpy = _time(kernels.logreg_fit_numpy, X, y, alpha, step, iters)
+    t_one = _time(kernels.logreg_fit, X, y, alphas[:1], step, iters)
+    t_four = _time(kernels.logreg_fit, X, y, alphas, step, iters)
     print(f"logreg_fit   (N={N}, D={D}, {iters} iterations)")
-    print(f"  numba : {t_numba:8.3f} s   (first-call compile {compile_s:.2f} s)")
-    print(f"  numpy : {t_numpy:8.3f} s")
-    if kernels.HAVE_NUMBA:
-        print(f"  speedup: {t_numpy / t_numba:5.1f}x")
+    print(f"  K=1   : {t_one:8.3f} s")
+    print(f"  K=4   : {t_four:8.3f} s   ({t_four / (4 * t_one):.2f} of four K=1 fits)")
 
 
 if __name__ == "__main__":

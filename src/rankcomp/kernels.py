@@ -1,24 +1,29 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels.
 
 Two inner loops dominate runtime: screening millions of grid profiles for
 equilibrium candidates, and the proximal-gradient fits inside the
-cross-validation protocol.  Both ship in two implementations with
-identical semantics:
+cross-validation protocol.
 
-* ``*_numba`` — ``@njit`` compiled, used when numba imports cleanly;
-* ``*_numpy`` — vectorized fallback.
+The grid screen ships in two implementations with identical decisions:
+
+* ``grid_screen_numba`` — ``@njit`` compiled, used when numba imports cleanly;
+* ``grid_screen_numpy`` — vectorized fallback.
 
 Selection is controlled by the ``RANKCOMP_BACKEND`` environment variable:
 ``numba``, ``numpy``, or ``auto`` (default: numba when available).  The
-grid screen is float arithmetic over quantities whose exact values are
+screen is float arithmetic over quantities whose exact values are
 rationals with small denominators, so a 1e-9 acceptance margin cannot
 misclassify; accepted profiles are re-verified exactly by the caller.
 
-``benchmarks/bench_kernels.py`` compares the two paths.
+The logistic-regression fit is a single numpy kernel that solves a whole
+grid of regularization strengths on one training set at once.
+
+``benchmarks/bench_kernels.py`` times both kernels.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -225,90 +230,59 @@ def grid_screen(strat: np.ndarray, prof: np.ndarray, peak: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _logreg_py(X, y, alpha, step, n_iters):
-    """FISTA on mean logistic loss + alpha * ||w||_1 (bias free).
+def logreg_fit(X, y, alphas, step, n_iters):
+    """FISTA on mean logistic loss + alpha * ||w||_1 (bias free), for K alphas.
 
-    X: (N, D), y: (N,) in {0, 1}.  Deterministic: zero init, fixed
-    iteration count, fixed step size.
+    X: (N, D), y: (N,) in {0, 1}, alphas: (K,).  Returns W (K, D) and B (K,).
+    Deterministic: zero init, fixed iteration count, one shared step size.
+    Every fit sees the same ``X`` and step, so the K fits advance in
+    lockstep on row-contiguous buffers.  The matrix products run one
+    ``gemv`` per row, not one ``gemm``: BLAS may sum a ``gemm`` in a
+    different order, and the per-row form keeps row ``k`` bitwise equal to
+    a fit with ``alphas[k]`` alone.
     """
-    N, D = X.shape
-    w = np.zeros(D)
-    b = 0.0
-    wz = np.zeros(D)
-    bz = 0.0
-    t_acc = 1.0
-    for _ in range(n_iters):
-        z = X @ wz + bz
-        pr = 1.0 / (1.0 + np.exp(-z))
-        r = (pr - y) / N
-        gw = X.T @ r
-        gb = r.sum()
-        w_new = wz - step * gw
-        # soft threshold
-        thr = step * alpha
-        for d in range(D):
-            v = w_new[d]
-            if v > thr:
-                w_new[d] = v - thr
-            elif v < -thr:
-                w_new[d] = v + thr
-            else:
-                w_new[d] = 0.0
-        b_new = bz - step * gb
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
-        beta = (t_acc - 1.0) / t_next
-        wz = w_new + beta * (w_new - w)
-        bz = b_new + beta * (b_new - b)
-        w = w_new
-        b = b_new
-        t_acc = t_next
-    return w, b
-
-
-if HAVE_NUMBA:
-    _logreg_numba_jit = numba.njit(cache=True)(_logreg_py)
-
-
-def logreg_fit_numba(X, y, alpha, step, n_iters):
-    return _logreg_numba_jit(
-        np.ascontiguousarray(X, dtype=np.float64),
-        np.ascontiguousarray(y, dtype=np.float64),
-        float(alpha),
-        float(step),
-        int(n_iters),
-    )
-
-
-def logreg_fit_numpy(X, y, alpha, step, n_iters):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    thr = (step * np.asarray(alphas, dtype=np.float64))[:, None]
     N, D = X.shape
-    w = np.zeros(D)
-    b = 0.0
-    wz = np.zeros(D)
-    bz = 0.0
+    K = thr.shape[0]
+    Xt = X.T
+    # one row per alpha: D weights, then the bias
+    P = np.zeros((K, D + 1))
+    P_new = np.empty((K, D + 1))
+    PZ = np.zeros((K, D + 1))  # extrapolated point
+    G = np.empty((K, D + 1))
+    Z = np.empty((K, N))
+    A = np.empty((K, D))
     t_acc = 1.0
-    thr = step * alpha
     for _ in range(int(n_iters)):
-        z = X @ wz + bz
-        pr = 1.0 / (1.0 + np.exp(-z))
-        r = (pr - y) / N
-        gw = X.T @ r
-        gb = r.sum()
-        w_new = wz - step * gw
-        w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - thr, 0.0)
-        b_new = bz - step * gb
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
+        for k in range(K):
+            np.dot(X, PZ[k, :D], out=Z[k])
+        Z += PZ[:, D:]
+        # Z <- (sigmoid(Z) - y) / N: the mean loss derivative in each score
+        np.negative(Z, out=Z)
+        np.exp(Z, out=Z)
+        Z += 1.0
+        np.divide(1.0, Z, out=Z)
+        Z -= y
+        Z /= N
+        for k in range(K):
+            np.dot(Xt, Z[k], out=G[k, :D])
+        np.add.reduce(Z, axis=1, out=G[:, D])
+        # gradient step, then soft-threshold the weights
+        G *= step
+        np.subtract(PZ, G, out=P_new)
+        W_new = P_new[:, :D]
+        np.abs(W_new, out=A)
+        A -= thr
+        np.maximum(A, 0.0, out=A)
+        np.sign(W_new, out=W_new)
+        W_new *= A
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
         beta = (t_acc - 1.0) / t_next
-        wz = w_new + beta * (w_new - w)
-        bz = b_new + beta * (b_new - b)
-        w = w_new
-        b = b_new
+        np.subtract(P_new, P, out=PZ)
+        PZ *= beta
+        PZ += P_new
+        P, P_new = P_new, P
         t_acc = t_next
-    return w, b
-
-
-def logreg_fit(X, y, alpha, step, n_iters):
-    if active_backend() == "numba":
-        return logreg_fit_numba(X, y, alpha, step, n_iters)
-    return logreg_fit_numpy(X, y, alpha, step, n_iters)
+    return P[:, :D].copy(), P[:, D].copy()

@@ -9,12 +9,16 @@ which is the scikit-learn liblinear objective scaled by 1/(C*N).  The
 bias is unpenalized.  Optimization is accelerated proximal gradient with
 a fixed step (1 over a Frobenius bound on the curvature) and a fixed
 iteration budget, so identical inputs give identical models.  The inner
-loop lives in :mod:`rankcomp.kernels` with numba/numpy backends.
+loop is one numpy kernel in :mod:`rankcomp.kernels`.  The step depends on
+the data only, so :func:`train_lreg_grid` solves a whole grid of C values
+on one training set in a single batched kernel call; each model is
+bitwise equal to the one :func:`train_lreg` fits for that C alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -64,24 +68,39 @@ def train_lreg(
     seed: int = 0,
 ) -> LinearModel:
     """Fit the L1 logistic model; requires both label classes present."""
+    return train_lreg_grid(X, y, (c_inverse_reg,), n_iters=n_iters, seed=seed)[0]
+
+
+def train_lreg_grid(
+    X,
+    y,
+    c_grid: Sequence[float],
+    *,
+    n_iters: int = DEFAULT_ITERS,
+    seed: int = 0,
+) -> tuple[LinearModel, ...]:
+    """One model per entry of ``c_grid``, all fit on the same (X, y)."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise DomainError("X must be (N, D) with one label per row")
-    if c_inverse_reg <= 0:
+    if any(c <= 0 for c in c_grid):
         raise DomainError("regularization parameter must be positive")
     n = X.shape[0]
     if not (np.any(y == 1.0) and np.any(y == 0.0)):
         raise DomainError("training needs at least one positive and one negative label")
-    alpha = 1.0 / (c_inverse_reg * n)
+    alphas = [1.0 / (c * n) for c in c_grid]
     # Lipschitz bound for the mean logistic loss: ||A||^2 / (4N) with the
     # bias column included; Frobenius over-estimates, keeping steps safe
     lips = (float(np.sum(X * X)) + n) / (4.0 * n)
     step = 1.0 / max(lips, 1e-12)
-    w, b = kernels.logreg_fit(X, y, alpha, step, n_iters)
-    return LinearModel(
-        weights=tuple(float(v) for v in w),
-        bias=float(b),
-        c_inverse_reg=float(c_inverse_reg),
-        meta={"n_iters": n_iters, "seed": seed, "n_train": int(n)},
+    W, B = kernels.logreg_fit(X, y, alphas, step, n_iters)
+    return tuple(
+        LinearModel(
+            weights=tuple(float(v) for v in w),
+            bias=float(b),
+            c_inverse_reg=float(c),
+            meta={"n_iters": n_iters, "seed": seed, "n_train": int(n)},
+        )
+        for c, w, b in zip(c_grid, W, B)
     )

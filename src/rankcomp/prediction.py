@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .competition_log import CompetitionLog, PredictionTriple, filter_for_prediction
-from .logreg import LinearModel, train_lreg
+from .logreg import LinearModel, train_lreg, train_lreg_grid
 from .numeric import DomainError
 from .stopwords import DEFAULT_STOPWORDS
 from .text_features import CorpusStats, cosine, tfidf_vector, tokenize
@@ -462,9 +462,14 @@ class CvReport:
     params: tuple[float, ...]
 
 
-def _fit_on(instances: Sequence[PredictionInstance], param: float, seed: int) -> LinearModel:
+def _stack(instances: Sequence[PredictionInstance]) -> tuple[np.ndarray, np.ndarray]:
     X = np.array([inst.features for inst in instances], dtype=np.float64)
     y = np.array([1.0 if inst.label else 0.0 for inst in instances])
+    return X, y
+
+
+def _fit_on(instances: Sequence[PredictionInstance], param: float, seed: int) -> LinearModel:
+    X, y = _stack(instances)
     return train_lreg(X, y, param, seed=seed)
 
 
@@ -480,6 +485,13 @@ def cross_validate(
     one with the best mean accuracy (earliest grid entry on ties).  The
     winning parameter is refit on all non-test rounds and scored on the
     held-out round.
+
+    The inner training set ``rounds - {test, val}`` is the same for the
+    pair (test, val) and the pair (val, test), and every parameter shares
+    it.  Each distinct inner training set is therefore fit once, for all
+    parameters together; with R rounds that is R(R-1)/2 batched fits plus
+    R single-parameter refits, with results identical to fitting every
+    (fold, parameter) pair on its own.
     """
     rounds = sorted({inst.round_index for inst in instances})
     if len(rounds) < 3:
@@ -487,27 +499,41 @@ def cross_validate(
     by_round: dict[int, list[PredictionInstance]] = {r: [] for r in rounds}
     for inst in instances:
         by_round[inst.round_index].append(inst)
+    stacked = {r: _stack(members) for r, members in by_round.items()}
+
+    def training_set(fit_rounds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        return (
+            np.concatenate([stacked[r][0] for r in fit_rounds]),
+            np.concatenate([stacked[r][1] for r in fit_rounds]),
+        )
+
+    # sorted fit rounds -> one model per parameter, or None without both
+    # classes; an entry serves exactly the pairs (test, val) and (val, test)
+    inner_models: dict[tuple[int, ...], Optional[tuple[LinearModel, ...]]] = {}
 
     folds = []
     for test_round in rounds:
         train_rounds = [r for r in rounds if r != test_round]
-        mean_acc_per_param = []
-        for param in params:
-            accs = []
-            for val_round in train_rounds:
-                fit_rounds = [r for r in train_rounds if r != val_round]
-                fit_insts = [i for r in fit_rounds for i in by_round[r]]
-                val_insts = by_round[val_round]
-                if not val_insts or not _has_both_classes(fit_insts):
-                    continue
-                model = _fit_on(fit_insts, param, seed)
-                acc, _ = evaluate(model_predictions(model, val_insts))
+        accs_per_param: list[list[float]] = [[] for _ in params]
+        for val_round in train_rounds:
+            fit_rounds = tuple(r for r in train_rounds if r != val_round)
+            if fit_rounds in inner_models:
+                models = inner_models.pop(fit_rounds)
+            else:
+                X, y = training_set(fit_rounds)
+                both = bool(np.any(y == 1.0) and np.any(y == 0.0))
+                models = train_lreg_grid(X, y, params, seed=seed) if both else None
+                inner_models[fit_rounds] = models
+            if models is None:
+                continue
+            for accs, model in zip(accs_per_param, models):
+                acc, _ = evaluate(model_predictions(model, by_round[val_round]))
                 accs.append(acc)
-            mean_acc_per_param.append(sum(accs) / len(accs) if accs else 0.0)
+        mean_acc_per_param = [sum(accs) / len(accs) if accs else 0.0 for accs in accs_per_param]
         best_idx = max(range(len(params)), key=lambda i: (mean_acc_per_param[i], -i))
         best_param = params[best_idx]
-        fit_insts = [i for r in train_rounds for i in by_round[r]]
-        model = _fit_on(fit_insts, best_param, seed)
+        X, y = training_set(train_rounds)
+        model = train_lreg(X, y, best_param, seed=seed)
         acc, f1 = evaluate(model_predictions(model, by_round[test_round]))
         folds.append(FoldReport(test_round, best_param, acc, f1))
 
@@ -517,11 +543,6 @@ def cross_validate(
         mean_f1=sum(f.f1 for f in folds) / len(folds),
         params=tuple(params),
     )
-
-
-def _has_both_classes(instances: Sequence[PredictionInstance]) -> bool:
-    labels = {inst.label for inst in instances}
-    return labels == {True, False}
 
 
 # --- CSV I/O ------------------------------------------------------------------

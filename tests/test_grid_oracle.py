@@ -130,15 +130,19 @@ class TestKernelBackends:
             b = kernels.grid_screen_numpy(strat, prof, peak)
             assert np.array_equal(a, b)
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_logreg_backends_agree(self):
+    def test_batched_logreg_fit_equals_single_fits(self):
+        # solving a grid of alphas together must not change a single bit
         rng = np.random.default_rng(8)
-        X = rng.random(size=(150, 12))
-        y = (rng.random(150) < 0.4).astype(np.float64)
-        wa, ba = kernels.logreg_fit_numba(X, y, 1e-3, 0.05, 300)
-        wb, bb = kernels.logreg_fit_numpy(X, y, 1e-3, 0.05, 300)
-        assert np.allclose(wa, wb, atol=1e-9)
-        assert abs(ba - bb) <= 1e-9
+        for N, D in [(150, 12), (37, 27), (400, 3)]:
+            X = rng.random(size=(N, D))
+            y = (rng.random(N) < 0.4).astype(np.float64)
+            alphas = [1.0 / (c * N) for c in (1.0, 10.0, 50.0, 100.0)]
+            W, B = kernels.logreg_fit(X, y, alphas, 0.05, 300)
+            assert W.shape == (4, D) and B.shape == (4,)
+            for k, alpha in enumerate(alphas):
+                w, b = kernels.logreg_fit(X, y, [alpha], 0.05, 300)
+                assert np.array_equal(W[k], w[0])
+                assert np.array_equal(B[k], b[0])
 
     def test_backend_env_selection(self, monkeypatch):
         monkeypatch.setenv("RANKCOMP_BACKEND", "numpy")

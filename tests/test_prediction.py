@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from rankcomp import kernels
 from rankcomp.competition_log import (
     CompetitionLog,
     GameHistory,
@@ -11,12 +12,21 @@ from rankcomp.competition_log import (
     SynthesisConfig,
     synthesize,
 )
-from rankcomp.logreg import LinearModel, mean_logloss, mean_logloss_grad, train_lreg
+from rankcomp.logreg import (
+    LinearModel,
+    mean_logloss,
+    mean_logloss_grad,
+    train_lreg,
+    train_lreg_grid,
+)
 from rankcomp.numeric import DomainError
 from rankcomp.prediction import (
     FEATURE_DIM,
     FEATURE_NAMES,
+    CvReport,
+    FoldReport,
     GroupPrediction,
+    PredictionInstance,
     baselines,
     build_instances,
     cross_validate,
@@ -281,6 +291,45 @@ class TestLogreg:
         y = (np_rng.random(40) < 0.5).astype(float)
         assert train_lreg(X, y, 10.0) == train_lreg(X, y, 10.0)
 
+    def test_matches_plain_fista_loop(self):
+        # one FISTA fit written out step by step; train_lreg must agree bitwise
+        np_rng = np.random.default_rng(9)
+        X = np_rng.random(size=(60, 7))
+        y = (np_rng.random(60) < 0.5).astype(float)
+        n_iters = 200
+        model = train_lreg(X, y, 10.0, n_iters=n_iters)
+        N = X.shape[0]
+        alpha = 1.0 / (10.0 * N)
+        step = 1.0 / ((float(np.sum(X * X)) + N) / (4.0 * N))
+        w = wz = np.zeros(X.shape[1])
+        b = bz = 0.0
+        t_acc = 1.0
+        for _ in range(n_iters):
+            r = (1.0 / (1.0 + np.exp(-(X @ wz + bz))) - y) / N
+            w_new = wz - step * (X.T @ r)
+            w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - step * alpha, 0.0)
+            b_new = bz - step * r.sum()
+            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
+            beta = (t_acc - 1.0) / t_next
+            wz = w_new + beta * (w_new - w)
+            bz = b_new + beta * (b_new - b)
+            w, b, t_acc = w_new, b_new, t_next
+        assert model.weights == tuple(float(v) for v in w)
+        assert model.bias == float(b)
+
+    def test_grid_fit_equals_single_fits(self):
+        np_rng = np.random.default_rng(10)
+        X = np_rng.random(size=(50, 6))
+        y = (np_rng.random(50) < 0.5).astype(float)
+        grid = (1.0, 10.0, 50.0, 100.0)
+        models = train_lreg_grid(X, y, grid, seed=3)
+        assert models == tuple(train_lreg(X, y, c, seed=3) for c in grid)
+
+    def test_grid_fit_rejects_any_nonpositive_parameter(self):
+        X = np.array([[0.0], [1.0]])
+        with pytest.raises(DomainError):
+            train_lreg_grid(X, np.array([0.0, 1.0]), (10.0, 0.0))
+
 
 def _mk_group(scores_by_pub, winner):
     feats = {p: tuple([s] + [0.0] * (FEATURE_DIM - 1)) for p, s in scores_by_pub.items()}
@@ -461,6 +510,110 @@ class TestCrossValidate:
             )
         with pytest.raises(DomainError):
             mask_sections(insts, ["nonsense"])
+
+
+def reference_cross_validate(instances, params, seed=0):
+    """Nested leave-one-round-out CV written as plain loops: every (fold,
+    parameter, validation round) is fit on its own, with no sharing."""
+    by_round = {}
+    for inst in instances:
+        by_round.setdefault(inst.round_index, []).append(inst)
+    rounds = sorted(by_round)
+
+    def fit(insts, param):
+        X = np.array([i.features for i in insts], dtype=np.float64)
+        y = np.array([1.0 if i.label else 0.0 for i in insts])
+        return train_lreg(X, y, param, seed=seed)
+
+    folds = []
+    for test in rounds:
+        train = [r for r in rounds if r != test]
+        means = []
+        for param in params:
+            accs = []
+            for val in train:
+                fit_insts = [i for r in train if r != val for i in by_round[r]]
+                if {i.label for i in fit_insts} != {True, False}:
+                    continue
+                model = fit(fit_insts, param)
+                accs.append(evaluate(model_predictions(model, by_round[val]))[0])
+            means.append(sum(accs) / len(accs) if accs else 0.0)
+        best = params[max(range(len(params)), key=lambda i: (means[i], -i))]
+        model = fit([i for r in train for i in by_round[r]], best)
+        acc, f1 = evaluate(model_predictions(model, by_round[test]))
+        folds.append(FoldReport(test, best, acc, f1))
+    return CvReport(
+        folds=tuple(folds),
+        mean_acc=sum(f.acc for f in folds) / len(folds),
+        mean_f1=sum(f.f1 for f in folds) / len(folds),
+        params=tuple(params),
+    )
+
+
+def random_instances(np_rng, group_sizes_by_round):
+    """Random features, one winner per (query, round) candidate group."""
+    out = []
+    for round_index, sizes in group_sizes_by_round.items():
+        for q, size in enumerate(sizes):
+            winner = int(np_rng.integers(size))
+            for c in range(size):
+                out.append(
+                    PredictionInstance(
+                        topic_id="T",
+                        query_index=q,
+                        round_index=round_index,
+                        publisher=f"p{c}",
+                        features=tuple(float(v) for v in np_rng.random(FEATURE_DIM)),
+                        label=c == winner,
+                    )
+                )
+    return out
+
+
+class TestCrossValidateEngine:
+    def test_matches_reference_on_synthetic_logs(self):
+        for seed, rounds in [(31, 6), (32, 7)]:
+            log = synthesize(SynthesisConfig(topics=3, rounds=rounds), seed=seed)
+            insts = normalize_per_query(build_instances(log))
+            params = (1.0, 10.0, 50.0, 100.0)
+            assert cross_validate(insts, params) == reference_cross_validate(insts, params)
+
+    def test_matches_reference_when_an_inner_set_lacks_a_class(self):
+        # rounds 5 and 6 hold single-candidate groups only (all winners), so
+        # the inner training set {5, 6} of folds (3, 4) and (4, 3) is skipped
+        np_rng = np.random.default_rng(11)
+        insts = random_instances(
+            np_rng, {3: [3, 4, 2], 4: [4, 3, 3], 5: [1, 1, 1], 6: [1, 1]}
+        )
+        params = (1.0, 10.0, 100.0)
+        report = cross_validate(insts, params)
+        assert report == reference_cross_validate(insts, params)
+
+    def test_accuracy_tie_selects_the_earliest_parameter(self):
+        # C this small zeroes every weight, so both entries predict alike
+        np_rng = np.random.default_rng(12)
+        insts = random_instances(np_rng, {r: [3, 4, 4] for r in range(3, 7)})
+        params = (1e-6, 1e-5)
+        report = cross_validate(insts, params)
+        assert all(fold.selected_param == 1e-6 for fold in report.folds)
+        assert report == reference_cross_validate(insts, params)
+
+    def test_one_kernel_call_per_distinct_training_set(self, monkeypatch):
+        log = synthesize(SynthesisConfig(topics=2, rounds=10), seed=33)
+        insts = normalize_per_query(build_instances(log))
+        assert len({i.round_index for i in insts}) == 8
+        batch_sizes = []
+        fit = kernels.logreg_fit
+
+        def counting_fit(X, y, alphas, step, n_iters):
+            batch_sizes.append(len(alphas))
+            return fit(X, y, alphas, step, n_iters)
+
+        monkeypatch.setattr(kernels, "logreg_fit", counting_fit)
+        cross_validate(insts, (1.0, 10.0, 50.0, 100.0))
+        # 8 * 7 / 2 inner training sets for all four C values, then 8 refits
+        assert len(batch_sizes) == 28 + 8
+        assert sorted(batch_sizes) == [1] * 8 + [4] * 28
 
 
 class TestPairedTTest:
