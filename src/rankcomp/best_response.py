@@ -9,30 +9,19 @@ feasible only with strict budget slack; tie-only plans may spend the whole
 budget.  Playing past the peak is never useful: for equal score the
 decreasing branch always costs more emphasis.
 
-The default optimizer enumerates invest-subsets exactly (2^m plans, m <=
-15).  A structured fast path — ascending-cost solo prefixes combined with
-tie subsets — is provided for larger m and is checked against the
-enumeration in tests.
+Choosing the invest-subset is a 0/1 knapsack whose gains are all 1 or a
+tie share 1/(t+1).  It is solved exactly, at any m, by a dynamic program
+over least cost per exact gain (Kellerer, Pferschy & Pisinger, *Knapsack
+Problems*, 2004, ch. 2); the tests check it against 2^m enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .game import EmphasisVector, RankingGame, StrategyProfile, require_valid, score, utilities
-from .numeric import (
-    CapacityError,
-    DomainError,
-    Number,
-    is_exact,
-    number_less,
-    numbers_equal,
-)
-
-#: largest m for which plan enumeration runs without the greedy flag
-ENUMERATION_LIMIT = 15
+from .numeric import DomainError, Number, is_exact, number_less, numbers_equal
 
 DEFAULT_EPSILON = Fraction(1, 1000)
 
@@ -131,14 +120,7 @@ def _solo_available(th: QueryThreshold) -> bool:
     return not th.top_is_peak or th.beats_at_cost
 
 
-def best_response_value(
-    game: RankingGame,
-    profile: StrategyProfile,
-    player: int,
-    *,
-    method: str = "enumerate",
-    allow_greedy_fallback: bool = False,
-) -> BestResponse:
+def best_response_value(game: RankingGame, profile: StrategyProfile, player: int) -> BestResponse:
     """Supremum and attained optimum over all deviations of one player.
 
     attained_value is realizable by an explicit strategy (see
@@ -146,173 +128,97 @@ def best_response_value(
     that exhaust the budget exactly while still needing a strict win
     margin, and so may be approached but not reached.
     """
-    ths = thresholds(game, profile, player)
+    return _solve(game, profile, thresholds(game, profile, player))
+
+
+def _solve(game: RankingGame, profile: StrategyProfile, ths) -> BestResponse:
     if game.n == 1:
         exact = profile.is_exact()
         m_val = Fraction(game.m) if exact else float(game.m)
         plan = DeviationPlan(frozenset(range(game.m)), frozenset(), m_val, Fraction(0) if exact else 0.0)
         return BestResponse(sup_value=m_val, attained_value=m_val, plan=plan)
-    if method == "greedy":
-        return _optimize_greedy(game, ths)
-    if game.m > ENUMERATION_LIMIT:
-        if allow_greedy_fallback:
-            return _optimize_greedy(game, ths)
-        raise CapacityError(
-            f"m={game.m} exceeds the enumeration limit {ENUMERATION_LIMIT}; "
-            "pass allow_greedy_fallback=True for the approximate fast path"
-        )
-    return _optimize_enumerate(game, ths)
+    return _optimize(ths)
 
 
-def _plan_roles(ths, subset):
-    """Split an invest-subset into (best roles, closed-only roles)."""
-    open_solos = []
-    closed_solos = []
-    ties = []
-    for j in subset:
-        th = ths[j]
-        if th.beats_at_cost:
-            closed_solos.append(j)
-        elif _solo_available(th):
-            open_solos.append(j)
-        else:
-            ties.append(j)
-    return open_solos, closed_solos, ties
+def _gains(th: QueryThreshold) -> tuple[Fraction, bool, Fraction]:
+    """(open gain, needs margin, closed gain) of investing in one query.
+
+    Gains are measured over the zero-spend value, exactly, in both
+    arithmetic modes: every role is worth 1 or a tie share 1/(t+1).
+    """
+    tie = Fraction(1, th.tie_count + 1)
+    open_role = 1 if _solo_available(th) else tie
+    closed_role = 1 if th.beats_at_cost else tie
+    base = closed_role if th.zero_value else 0
+    return open_role - base, _solo_available(th) and not th.beats_at_cost, closed_role - base
 
 
-def _optimize_enumerate(game: RankingGame, ths) -> BestResponse:
-    exact = is_exact(*[t.cost for t in ths])
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    zero_total = sum((t.zero_value for t in ths), zero)
+def _optimize(ths) -> BestResponse:
+    """Exact 0/1 knapsack over invest-subsets by a gain-indexed DP.
 
-    best_attained = zero_total
-    best_plan = DeviationPlan(frozenset(), frozenset(), zero_total, zero)
-    best_sup = zero_total
-
-    indices = range(game.m)
-    for mask in range(1 << game.m):
-        subset = [j for j in indices if mask >> j & 1]
-        cost = sum((ths[j].cost for j in subset), zero)
-        if cost > one:
-            continue
-        open_solos, closed_solos, ties = _plan_roles(ths, subset)
-        rest = zero_total - sum((ths[j].zero_value for j in subset), zero)
-
-        # every invested query at its best role (solos where beatable)
-        value_open = rest + sum(
-            (one if _solo_available(ths[j]) else _tie_share(ths[j].tie_count, exact) for j in subset),
-            zero,
-        )
-        # every invested query at a margin-free role
-        value_closed = rest + sum(
-            (one if ths[j].beats_at_cost else _tie_share(ths[j].tie_count, exact) for j in subset),
-            zero,
-        )
-
-        if value_open > best_sup:
-            best_sup = value_open
-        needs_margin = any(
-            _solo_available(ths[j]) and not ths[j].beats_at_cost for j in subset
-        )
-        if not needs_margin or number_less(cost, one):
-            if value_open > best_attained:
-                best_attained = value_open
-                solos = frozenset(j for j in subset if _solo_available(ths[j]))
-                best_plan = DeviationPlan(solos, frozenset(subset) - solos, value_open, zero)
-        if value_closed > best_attained:
-            best_attained = value_closed
-            solos = frozenset(closed_solos)
-            best_plan = DeviationPlan(solos, frozenset(subset) - solos, value_closed, zero)
-
-    return BestResponse(sup_value=best_sup, attained_value=best_attained, plan=best_plan)
-
-
-def _optimize_greedy(game: RankingGame, ths) -> BestResponse:
-    """Fast path: ascending-cost solo prefixes crossed with tie subsets.
-
-    Mixing a tie into a plan at a query that could be beaten never helps
-    when slack exists (same budget, lower value), so ties matter only at
-    unbeatable (peak-pinned) queries — enumerated exactly below — or in
-    margin-free plans that spend the budget to the last drop, handled by
-    the pure-tie pass.  Exact for every instance whose unbeatable-query
-    count stays within the subset cap (always, under tent scoring); beyond that the tie fill degrades
-    to ascending-cost order and the result is a documented lower bound.
+    An open plan gives every invested query its best role; if one of
+    them is a solo that needs a win margin, the plan is attainable only
+    with budget slack.  A closed plan gives every invested query its
+    margin-free role and may spend the whole budget.  For each prefix of
+    queries a table keeps the least cost per (gain, needs margin); gains
+    have small denominators, so the tables stay small at any m.  The plan
+    is the lowest invest mask (as an integer over query bits) attaining
+    the optimum, in its open roles when it affords them.
     """
     exact = is_exact(*[t.cost for t in ths])
     zero = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0
     zero_total = sum((t.zero_value for t in ths), zero)
+    costs = [t.cost for t in ths]
+    open_gains, margins, closed_gains = zip(*map(_gains, ths))
+    no_margins = (False,) * len(ths)
 
-    solo_q = sorted(
-        (j for j in range(game.m) if _solo_available(ths[j])),
-        key=lambda j: (ths[j].cost, j),
-    )
-    peak_q = [j for j in range(game.m) if not _solo_available(ths[j])]
+    def fits(cost, margin):
+        return number_less(cost, one) if margin else cost <= one
 
-    best_attained = zero_total
-    best_plan = DeviationPlan(frozenset(), frozenset(), zero_total, zero)
-    best_sup = zero_total
+    def tables(gains, needs):
+        out = [{(Fraction(0), False): zero}]
+        for c_j, g_j, n_j in zip(costs, gains, needs):
+            table = dict(out[-1])
+            for (g, margin), c in out[-1].items():
+                key, c = (g + g_j, margin or n_j), c + c_j
+                if c <= one and (key not in table or c < table[key]):
+                    table[key] = c
+            out.append(table)
+        return out
 
-    tie_subset_cap = 16
-    if len(peak_q) <= tie_subset_cap:
-        tie_subsets = [
-            list(c) for r in range(len(peak_q) + 1) for c in combinations(peak_q, r)
-        ]
+    def reachable(table, gain, spent, margin):
+        return any(
+            (gain, mg) in table and fits(spent + table[gain, mg], margin or mg)
+            for mg in (False, True)
+        )
+
+    def lowest_mask(prefix, gains, needs, gain):
+        # highest query first: keep it only when the rest cannot reach `gain`
+        if not reachable(prefix[-1], gain, zero, False):
+            return None
+        mask, spent, margin = 0, zero, False
+        for j in reversed(range(len(ths))):
+            if not reachable(prefix[j], gain, spent, margin):
+                mask |= 1 << j
+                gain, spent, margin = gain - gains[j], spent + costs[j], margin or needs[j]
+        return mask
+
+    opens = tables(open_gains, margins)
+    closeds = tables(closed_gains, no_margins)
+    sup = max(g for g, _ in opens[-1])
+    best = max(g for (g, mg), c in [*opens[-1].items(), *closeds[-1].items()] if fits(c, mg))
+
+    open_mask = lowest_mask(opens, open_gains, margins, best)
+    closed_mask = lowest_mask(closeds, closed_gains, no_margins, best)
+    if open_mask is not None and (closed_mask is None or open_mask <= closed_mask):
+        mask, solo = open_mask, _solo_available
     else:
-        # degraded fill: take peak ties cheapest-first
-        ordered = sorted(peak_q, key=lambda j: (ths[j].cost, j))
-        tie_subsets = [ordered[:r] for r in range(len(ordered) + 1)]
-
-    for ties in tie_subsets:
-        tie_cost = sum((ths[j].cost for j in ties), zero)
-        if tie_cost > one:
-            continue
-        tie_value = sum((_tie_share(ths[j].tie_count, exact) for j in ties), zero)
-        base_rest = zero_total - sum((ths[j].zero_value for j in ties), zero)
-        cost = tie_cost
-        solo_value = zero
-        chosen: list[int] = []
-        for k in range(len(solo_q) + 1):
-            if k > 0:
-                j = solo_q[k - 1]
-                cost = cost + ths[j].cost
-                solo_value = solo_value + one
-                chosen.append(j)
-                if cost > one:
-                    break
-            rest = base_rest - sum((ths[j].zero_value for j in chosen), zero)
-            value = tie_value + solo_value + rest
-            if value > best_sup:
-                best_sup = value
-            needs_margin = any(not ths[j].beats_at_cost for j in chosen)
-            if needs_margin and not number_less(cost, one):
-                continue
-            if value > best_attained:
-                best_attained = value
-                best_plan = DeviationPlan(frozenset(chosen), frozenset(ties), value, zero)
-
-    # margin-free plans may tie even at beatable queries when the budget
-    # is spent exactly; sweep closed tie subsets over all priced queries
-    priced = [j for j in range(game.m) if not ths[j].beats_at_cost]
-    if len(priced) <= tie_subset_cap:
-        for r in range(len(priced) + 1):
-            for ties in combinations(priced, r):
-                cost = sum((ths[j].cost for j in ties), zero)
-                if cost > one:
-                    continue
-                value = (
-                    zero_total
-                    - sum((ths[j].zero_value for j in ties), zero)
-                    + sum((_tie_share(ths[j].tie_count, exact) for j in ties), zero)
-                )
-                if value > best_attained:
-                    best_attained = value
-                    best_plan = DeviationPlan(frozenset(), frozenset(ties), value, zero)
-                if value > best_sup:
-                    best_sup = value
-
-    return BestResponse(sup_value=best_sup, attained_value=best_attained, plan=best_plan)
+        mask, solo = closed_mask, lambda th: th.beats_at_cost
+    invested = frozenset(j for j in range(len(ths)) if mask >> j & 1)
+    solos = frozenset(j for j in invested if solo(ths[j]))
+    plan = DeviationPlan(solos, invested - solos, zero_total + best, zero)
+    return BestResponse(sup_value=zero_total + sup, attained_value=zero_total + best, plan=plan)
 
 
 def best_response_witness(
@@ -320,8 +226,6 @@ def best_response_witness(
     profile: StrategyProfile,
     player: int,
     epsilon: Number = DEFAULT_EPSILON,
-    *,
-    method: str = "enumerate",
 ) -> WitnessResult:
     """Concrete strategy achieving the attained best-response value.
 
@@ -333,14 +237,14 @@ def best_response_witness(
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    br = best_response_value(game, profile, player, method=method)
+    ths = thresholds(game, profile, player)
+    br = _solve(game, profile, ths)
     if game.n == 1:
         exact = profile.is_exact()
         zero = Fraction(0) if exact else 0.0
         vec = EmphasisVector([zero] * game.m)
         return WitnessResult(vec, br.attained_value, zero, br.plan)
 
-    ths = thresholds(game, profile, player)
     exact = is_exact(*[t.cost for t in ths]) and not isinstance(epsilon, float)
     zero = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0

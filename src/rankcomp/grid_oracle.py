@@ -7,8 +7,10 @@ profile is screened in floats (see :mod:`rankcomp.kernels`) and survivors
 are confirmed with exact rational best responses against *continuous*
 deviations — so a reported profile is a genuine equilibrium of the full
 game, while an empty result only corroborates non-existence (equilibria
-may lie off-grid).  ``grid`` mode checks deviations restricted to grid
-strategies and is diagnostic only: it can accept spurious profiles.
+may lie off-grid).  The float screen scores with the tent, so ``exact``
+mode refuses any other f.  ``grid`` mode checks deviations restricted to
+grid strategies, accepts any f, and is diagnostic only: it can accept
+spurious profiles.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .equilibria import verify_nash
-from .game import EmphasisVector, RankingGame, StrategyProfile, utilities
+from .game import EmphasisVector, RankingGame, SinglePeakFunction, StrategyProfile, utilities
 from .numeric import CapacityError, DomainError, Number, parse_number
 
 DEFAULT_BUDGET = 100_000_000
@@ -151,6 +153,8 @@ def grid_nash_search(
     s_count = strategy_count(spec)
 
     if deviation_mode == "exact":
+        if game.f != SinglePeakFunction.tent(game.peak):
+            raise DomainError("exact mode screens with tent scoring; use grid mode for other f")
         numerators = grid_strategies(spec)
         strategies = [_strategy_vector(s, spec.g) for s in numerators]
         found = []

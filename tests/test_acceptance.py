@@ -25,6 +25,7 @@ from rankcomp.equilibria import (
     verify_nash,
 )
 from rankcomp.game import RankingGame, StrategyProfile, utilities
+from rankcomp.numeric import numbers_equal
 from rankcomp.grid_oracle import GridSpec, grid_nash_search
 from rankcomp.prediction import (
     FEATURE_DIM,
@@ -38,7 +39,15 @@ from rankcomp.prediction import (
 from rankcomp.stats import paired_t_test, t_sf_two_tailed
 from rankcomp.text_features import CorpusStats, compute_features, rbo, tokenize
 
-from conftest import random_instance
+from conftest import (
+    FLOOR_F,
+    SKEWED_F,
+    float_instance,
+    non_tent_instance,
+    random_instance,
+    tie_heavy_instance,
+)
+from enumeration_oracle import enumerate_best_response
 from test_text_features import bm25_oracle, lmir_oracle, rbo_ext_oracle
 
 _RUNNER = CliRunner()
@@ -188,20 +197,32 @@ def test_criterion_4_nonconvergence_example(tmp_path):
 
 
 def test_criterion_5_best_response_oracle_equivalence():
-    """Greedy fast path equals subset enumeration on 500 random instances;
-    witness utilities recompute exactly."""
+    """The knapsack optimizer equals 2^m enumeration (value and plan) on 500
+    random, 200 tie-heavy and 2 x 100 non-tent instances, and within 1e-9
+    on 200 float instances; witness utilities recompute exactly."""
     rng = random.Random(5)
-    for i in range(500):
-        game, profile = random_instance(rng, max_n=5, max_m=8)
+
+    def exact_instances():
+        yield from (random_instance(rng, max_n=5, max_m=8) for _ in range(500))
+        yield from (tie_heavy_instance(rng) for _ in range(200))
+        for f in (SKEWED_F, FLOOR_F):
+            yield from (non_tent_instance(rng, f) for _ in range(100))
+
+    for i, (game, profile) in enumerate(exact_instances()):
         player = rng.randrange(game.n)
-        enum = best_response_value(game, profile, player, method="enumerate")
-        greedy = best_response_value(game, profile, player, method="greedy")
-        assert enum.attained_value == greedy.attained_value, (i, game, profile)
-        assert enum.sup_value == greedy.sup_value, (i, game, profile)
+        br = best_response_value(game, profile, player)
+        assert br == enumerate_best_response(game, profile, player), (i, game, profile)
         witness = best_response_witness(game, profile, player)
         achieved = utilities(game, profile.replace(player, witness.strategy))[player]
-        assert achieved == enum.attained_value, (i, game, profile)
-    report(5, "best-response oracle equivalence", "500 instances")
+        assert achieved == br.attained_value, (i, game, profile)
+    for i in range(200):
+        game, profile = float_instance(rng)
+        player = rng.randrange(game.n)
+        br = best_response_value(game, profile, player)
+        oracle = enumerate_best_response(game, profile, player)
+        assert numbers_equal(br.attained_value, oracle.attained_value), (i, game, profile)
+        assert numbers_equal(br.sup_value, oracle.sup_value), (i, game, profile)
+    report(5, "best-response oracle equivalence", "900 exact + 200 float instances")
 
 
 def test_criterion_6_feature_correctness():

@@ -9,9 +9,17 @@ from rankcomp.best_response import (
     thresholds,
 )
 from rankcomp.game import EmphasisVector, RankingGame, StrategyProfile, utilities
-from rankcomp.numeric import CapacityError
+from rankcomp.numeric import numbers_equal
 
-from conftest import random_instance
+from conftest import (
+    FLOOR_F,
+    SKEWED_F,
+    float_instance,
+    non_tent_instance,
+    random_instance,
+    tie_heavy_instance,
+)
+from enumeration_oracle import enumerate_best_response
 
 
 def two_player(opponent, peak=F(1, 2), m=None):
@@ -79,22 +87,47 @@ class TestBestResponseValue:
         assert br.attained_value == 1
         assert br.sup_value == 2
 
-    def test_capacity_error_above_enumeration_limit(self):
+    def test_exact_past_sixteen_queries(self):
         game = RankingGame.tent(2, 16, F(1, 32))
         profile = StrategyProfile([[F(1, 32)] * 16] * 2)
-        with pytest.raises(CapacityError):
-            best_response_value(game, profile, 0)
-        br = best_response_value(game, profile, 0, allow_greedy_fallback=True)
-        assert br.attained_value >= F(1, 2)
+        br = best_response_value(game, profile, 0)
+        assert br.attained_value == br.sup_value == 8
+        assert br.attained_value == utilities(game, profile)[0]
 
-    def test_greedy_equals_enumeration_on_random_instances(self, rng):
+    def test_optimizer_equals_enumeration_oracle(self, rng):
         for _ in range(300):
             game, profile = random_instance(rng, max_n=5, max_m=8)
             player = rng.randrange(game.n)
+            assert best_response_value(game, profile, player) == enumerate_best_response(
+                game, profile, player
+            ), (game, profile, player)
+
+    def test_optimizer_equals_enumeration_oracle_on_tie_heavy_profiles(self, rng):
+        for _ in range(150):
+            game, profile = tie_heavy_instance(rng)
+            for player in range(game.n):
+                assert best_response_value(game, profile, player) == enumerate_best_response(
+                    game, profile, player
+                ), (game, profile, player)
+
+    @pytest.mark.parametrize("f", [SKEWED_F, FLOOR_F], ids=["skewed", "floor"])
+    def test_optimizer_equals_enumeration_oracle_on_non_tent_functions(self, rng, f):
+        for _ in range(80):
+            game, profile = non_tent_instance(rng, f)
+            player = rng.randrange(game.n)
+            assert best_response_value(game, profile, player) == enumerate_best_response(
+                game, profile, player
+            ), (game, profile, player)
+
+    def test_optimizer_matches_enumeration_oracle_in_float_mode(self, rng):
+        for _ in range(150):
+            game, profile = float_instance(rng)
+            player = rng.randrange(game.n)
             a = best_response_value(game, profile, player)
-            b = best_response_value(game, profile, player, method="greedy")
-            assert a.attained_value == b.attained_value, (game, profile, player)
-            assert a.sup_value == b.sup_value
+            b = enumerate_best_response(game, profile, player)
+            assert isinstance(a.attained_value, float)
+            assert numbers_equal(a.attained_value, b.attained_value), (game, profile, player)
+            assert numbers_equal(a.sup_value, b.sup_value), (game, profile, player)
 
     def test_attained_at_least_current_and_at_most_m(self, rng):
         for _ in range(60):
@@ -214,29 +247,9 @@ class TestDeviationScanSoundness:
             assert _scan_deviation_max(game, profile, player) <= attained
 
     def test_general_piecewise_function_soundness(self, rng):
-        from fractions import Fraction as Fr
-
-        from rankcomp.game import SinglePeakFunction
-
-        # skewed shape: steep rise, slow early fall, nonzero tail
-        f = SinglePeakFunction(
-            knots=(
-                (Fr(0), Fr(0)),
-                (Fr(1, 5), Fr(7, 10)),
-                (Fr(2, 5), Fr(1)),
-                (Fr(7, 10), Fr(1, 2)),
-                (Fr(1), Fr(1, 10)),
-            ),
-            peak=Fr(2, 5),
-        )
-        from conftest import random_strategy
-
         for _ in range(20):
-            n = rng.randint(2, 3)
-            m = rng.randint(1, 3)
-            game = RankingGame(n=n, m=m, f=f)
-            profile = StrategyProfile([random_strategy(rng, m) for _ in range(n)])
-            player = rng.randrange(n)
+            game, profile = non_tent_instance(rng, SKEWED_F, max_n=3, max_m=3)
+            player = rng.randrange(game.n)
             result = best_response_value(game, profile, player)
             witness = best_response_witness(game, profile, player)
             achieved = utilities(game, profile.replace(player, witness.strategy))[player]
@@ -244,18 +257,8 @@ class TestDeviationScanSoundness:
             assert _scan_deviation_max(game, profile, player) <= result.attained_value
 
     def test_nonzero_floor_function_beats_at_cost_path(self):
-        from fractions import Fraction as Fr
-
-        from rankcomp.game import SinglePeakFunction
-
-        # f(0) > 0: an opponent far down the decreasing tail scores below
-        # f(0), so zero emphasis already wins outright
-        f = SinglePeakFunction(
-            knots=((Fr(0), Fr(2, 5)), (Fr(1, 2), Fr(1)), (Fr(1), Fr(0))),
-            peak=Fr(1, 2),
-        )
-        game = RankingGame(n=2, m=2, f=f)
-        profile = StrategyProfile([[Fr(0), Fr(0)], [Fr(19, 20), Fr(1, 20)]])
+        game = RankingGame(n=2, m=2, f=FLOOR_F)
+        profile = StrategyProfile([[F(0), F(0)], [F(19, 20), F(1, 20)]])
         ths = thresholds(game, profile, 0)
         # opponent's q0 score f(19/20) = 1/10 < f(0) = 2/5: free win
         assert ths[0].beats_at_cost

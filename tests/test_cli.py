@@ -40,6 +40,19 @@ class TestGameCommands:
         assert res.exit_code == 0
         assert json.loads(res.output)["is_nash"] is True
 
+    def test_construct_verify_pipeline_past_sixteen_queries(self, runner, tmp_path):
+        prof = tmp_path / "eq.json"
+        res = invoke(
+            runner,
+            ["game", "construct", "--n", "2", "--m", "16", "--peak", "1/16",
+             "--check", "--out", str(prof)],
+        )
+        assert res.exit_code == 0
+        assert json.loads(res.output)["verified"] is True
+        res = invoke(runner, ["game", "verify", "--profile", str(prof)])
+        assert res.exit_code == 0
+        assert json.loads(res.output)["is_nash"] is True
+
     def test_construct_refusal_is_a_domain_error(self, runner):
         res = runner.invoke(main, ["game", "construct", "--n", "2", "--m", "3",
                                    "--peak", "0.51"])

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -180,6 +181,17 @@ class TestParameterSweep:
             peak = threshold + F(1, 1000)
             game = RankingGame.tent(n, m, peak)
             assert not verify_nash(game, candidate_profile(game)).is_nash
+
+    def test_verification_matches_existence_at_large_m(self):
+        for n, m in [(2, 40), (3, 24)]:
+            threshold = existence_threshold(n, m)
+            for peak in (threshold - F(1, 1000), threshold, threshold + F(1, 1000), F(1, 2)):
+                game = RankingGame.tent(n, m, peak)
+                start = time.perf_counter()
+                report = verify_nash(game, candidate_profile(game))
+                elapsed = time.perf_counter() - start
+                assert report.is_nash == exists_equilibrium(n, m, peak).exists, (n, m, peak)
+                assert elapsed < 1.0, f"verify_nash at {(n, m, peak)} took {elapsed:.2f}s"
 
 
 class TestDegeneratePeaks:

@@ -6,7 +6,7 @@ import pytest
 
 from rankcomp import kernels
 from rankcomp.equilibria import construct_equilibrium, verify_nash
-from rankcomp.game import RankingGame, StrategyProfile
+from rankcomp.game import RankingGame, SinglePeakFunction, StrategyProfile
 from rankcomp.grid_oracle import (
     GridSpec,
     grid_nash_search,
@@ -15,7 +15,7 @@ from rankcomp.grid_oracle import (
     profile_count,
     strategy_count,
 )
-from rankcomp.numeric import CapacityError
+from rankcomp.numeric import CapacityError, DomainError
 
 
 class TestCounting:
@@ -100,6 +100,17 @@ class TestExactSearch:
         exact_set = {tuple(v.emphases for v in p.strategies) for p in exact.equilibria}
         grid_set = {tuple(v.emphases for v in p.strategies) for p in grid.equilibria}
         assert exact_set <= grid_set
+
+    def test_exact_mode_rejects_non_tent_function(self):
+        f = SinglePeakFunction(
+            knots=((F(0), F(0)), (F(1, 4), F(3, 4)), (F(1, 2), F(1)), (F(1), F(0))),
+            peak=F(1, 2),
+        )
+        game = RankingGame(n=2, m=2, f=f)
+        spec = GridSpec(g=2, n=2, m=2, peak=F(1, 2))
+        with pytest.raises(DomainError):
+            grid_nash_search(game, spec, deviation_mode="exact")
+        assert grid_nash_search(game, spec, deviation_mode="grid").mode == "grid"
 
     def test_parallel_jobs_match_serial(self):
         peak = F(1, 2)
