@@ -29,6 +29,7 @@ from . import equilibria as eq_mod
 from . import grid_oracle as oracle_mod
 from .competition_log import (
     SynthesisConfig,
+    document_features,
     filter_for_prediction,
     load_log,
     report_feature_trajectories,
@@ -57,7 +58,7 @@ from .prediction import (
 )
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
 from .text_features import FEATURE_NAMES as TEXT_FEATURE_NAMES
-from .text_features import CorpusStats, compute_features, rbo, tokenize
+from .text_features import rbo
 
 
 def dump_json(data) -> str:
@@ -422,24 +423,11 @@ def features_extract(ctx, log_path, out, stopwords_path):
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
-        for topic in log.topics:
-            for rnd in topic.rounds:
-                stats = CorpusStats.from_documents(
-                    tokenize(topic.round(r).text_of(pub))
-                    for r in range(1, rnd.round_index + 1)
-                    for pub in sorted(topic.round(r).documents)
-                )
-                for q, query_text in enumerate(topic.queries):
-                    query = tokenize(query_text)
-                    for pub in sorted(rnd.documents):
-                        feats = compute_features(
-                            tokenize(rnd.text_of(pub)), query, stats, stops
-                        )
-                        writer.writerow(
-                            [topic.topic_id, rnd.round_index, q, pub]
-                            + [repr(v) for v in feats.as_tuple()]
-                        )
-                        rows += 1
+        for topic, rnd, q, pub, feats in document_features(log, stops):
+            writer.writerow(
+                [topic.topic_id, rnd.round_index, q, pub] + [repr(v) for v in feats.as_tuple()]
+            )
+            rows += 1
     _emit(ctx, {"rows": rows, "out": out, "columns": columns})
 
 

@@ -7,6 +7,9 @@ publisher's document (with a bot flag) and one total-order ranking per
 query (rank 1 first).  The on-disk format is JSONL with one history per
 line; an optional leading ``{"_meta": ...}`` line carries free-form log
 metadata (ranker label, tool policy, generator config).
+
+Text statistics go through ``topic_corpus``: one ``TopicCorpus`` per
+topic, built when a caller reaches the topic and dropped when it moves on.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .numeric import DomainError
 from .stopwords import DEFAULT_STOPWORDS
 from .text_features import (
     FEATURE_NAMES,
-    CorpusStats,
+    FeatureVector,
+    TopicCorpus,
     compute_features,
     rbo,
     tokenize,
@@ -60,16 +64,36 @@ class GameHistory:
         return self.rounds[round_index - 1]
 
 
+def topic_corpus(topic: GameHistory) -> TopicCorpus:
+    """The topic's tokenized documents and per-round-prefix statistics.
+
+    Built fresh on every call and never cached on the history: callers
+    hold one topic's corpus at a time.
+    """
+    corpus = TopicCorpus()
+    for rnd in topic.rounds:
+        corpus.add_round({pub: tokenize(text) for pub, (text, _) in rnd.documents.items()})
+    return corpus
+
+
 @dataclass(frozen=True)
 class CompetitionLog:
     topics: tuple[GameHistory, ...]
     metadata: dict = field(default_factory=dict)
 
-    def topic(self, topic_id: str) -> GameHistory:
+    def __post_init__(self) -> None:
+        # topic id -> history, the first one should ids repeat; a plain
+        # attribute, not a field, so equality and repr ignore it
+        by_id: dict[str, GameHistory] = {}
         for t in self.topics:
-            if t.topic_id == topic_id:
-                return t
-        raise DomainError(f"unknown topic {topic_id!r}")
+            by_id.setdefault(t.topic_id, t)
+        object.__setattr__(self, "_by_id", by_id)
+
+    def topic(self, topic_id: str) -> GameHistory:
+        try:
+            return self._by_id[topic_id]
+        except KeyError:
+            raise DomainError(f"unknown topic {topic_id!r}") from None
 
 
 class LogFormatError(DomainError):
@@ -290,6 +314,25 @@ def report_ranking_agreement(log: CompetitionLog, persistence: float = 0.9) -> d
     return {r: sums[r] / counts[r] for r in sorted(sums)}
 
 
+def document_features(
+    log: CompetitionLog, stopwords: frozenset[str] = DEFAULT_STOPWORDS
+) -> Iterator[tuple[GameHistory, RoundRecord, int, str, FeatureVector]]:
+    """(topic, round, query index, publisher, features) for every document x query.
+
+    Topics, rounds and queries come in log order and publishers sorted;
+    each round-l document is featured against its topic's rounds 1..l.
+    """
+    for topic in log.topics:
+        corpus = topic_corpus(topic)
+        queries = [tokenize(text) for text in topic.queries]
+        for rnd in topic.rounds:
+            stats = corpus.stats(rnd.round_index)
+            for q, query in enumerate(queries):
+                for pub in sorted(rnd.documents):
+                    doc = corpus.doc(rnd.round_index, pub)
+                    yield topic, rnd, q, pub, compute_features(doc, query, stats, stopwords)
+
+
 def report_feature_trajectories(
     log: CompetitionLog, stopwords: frozenset[str] = DEFAULT_STOPWORDS
 ) -> dict:
@@ -299,19 +342,9 @@ def report_feature_trajectories(
     are the rank-1 documents of each query.
     """
     acc: dict[tuple[int, str], list[tuple[float, ...]]] = {}
-    for topic in log.topics:
-        for rnd in topic.rounds:
-            stats = CorpusStats.from_documents(
-                tokenize(topic.round(r).text_of(pub))
-                for r in range(1, rnd.round_index + 1)
-                for pub in sorted(topic.round(r).documents)
-            )
-            for q, query_text in enumerate(topic.queries):
-                query = tokenize(query_text)
-                for pub in sorted(rnd.documents):
-                    feats = compute_features(tokenize(rnd.text_of(pub)), query, stats, stopwords)
-                    group = "winner" if rnd.winner(q) == pub else "loser"
-                    acc.setdefault((rnd.round_index, group), []).append(feats.as_tuple())
+    for _, rnd, q, pub, feats in document_features(log, stopwords):
+        group = "winner" if rnd.winner(q) == pub else "loser"
+        acc.setdefault((rnd.round_index, group), []).append(feats.as_tuple())
     out: dict = {}
     for (rnd_idx, group), rows in sorted(acc.items()):
         means = [sum(col) / len(col) for col in zip(*rows)]
@@ -386,6 +419,7 @@ def synthesize(config: SynthesisConfig, seed: int) -> CompetitionLog:
         strategies.extend(["random-edit"] * (config.publishers - len(strategies)))
     strategies = strategies[: config.publishers]
     stopword_tokens = sorted(DEFAULT_STOPWORDS)[:20]
+    desk_stopwords = frozenset(stopword_tokens)
 
     topics = []
     for t in range(config.topics):
@@ -394,6 +428,7 @@ def synthesize(config: SynthesisConfig, seed: int) -> CompetitionLog:
         queries = []
         for q in range(config.queries_per_topic):
             queries.append(" ".join(rng.sample(topic_pool, 2)))
+        query_docs = [tokenize(text) for text in queries]
         pubs = [f"p{i}" for i in range(config.publishers)]
         mimic_rate = {
             pub: 0.25 + 0.5 * rng.random() if strat == "mimic-winner" else 0.0
@@ -411,6 +446,7 @@ def synthesize(config: SynthesisConfig, seed: int) -> CompetitionLog:
 
         texts = {pub: initial_doc(pub) for pub in pubs}
         rounds = []
+        corpus = TopicCorpus()
         for r in range(1, config.rounds + 1):
             if r > 1:
                 prev = rounds[-1]
@@ -436,19 +472,13 @@ def synthesize(config: SynthesisConfig, seed: int) -> CompetitionLog:
                     new_texts[pub] = " ".join(tokens)
                 texts = new_texts
             docs = {pub: tokenize(texts[pub]) for pub in pubs}
-            stats_docs = []
-            for prev_rnd in rounds:
-                for pub in sorted(prev_rnd.documents):
-                    stats_docs.append(tokenize(prev_rnd.text_of(pub)))
-            stats_docs.extend(docs[pub] for pub in pubs)
-            stats = CorpusStats.from_documents(stats_docs)
+            stats = corpus.add_round(docs)
             rankings = []
-            for q, query_text in enumerate(queries):
-                query = tokenize(query_text)
+            for query in query_docs:
                 scored = sorted(
                     pubs,
                     key=lambda pub: (
-                        -_desk_score(docs[pub], query, stats, frozenset(stopword_tokens), config.scorer_weights),
+                        -_desk_score(docs[pub], query, stats, desk_stopwords, config.scorer_weights),
                         pub,
                     ),
                 )

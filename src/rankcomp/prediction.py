@@ -32,11 +32,16 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .competition_log import CompetitionLog, PredictionTriple, filter_for_prediction
+from .competition_log import (
+    CompetitionLog,
+    PredictionTriple,
+    filter_for_prediction,
+    topic_corpus,
+)
 from .logreg import LinearModel, train_lreg, train_lreg_grid
 from .numeric import DomainError
 from .stopwords import DEFAULT_STOPWORDS
-from .text_features import CorpusStats, cosine, tfidf_vector, tokenize
+from .text_features import cosine, tfidf_vector, tokenize
 
 SECTION_LAYOUT = (
     ("micro", 12),
@@ -130,11 +135,16 @@ def build_instances(
     for that query at round l-1.  Background statistics for the tf.idf
     vectors cover all of the topic's documents up to and including round
     l, keeping the pipeline self-contained.
+
+    Instances come in triple order.  Documents and statistics come from
+    one ``topic_corpus`` per run of consecutive triples on the same
+    topic, so a topic's texts are tokenized once when its triples are
+    contiguous (as ``filter_for_prediction`` returns them).
     """
     if triples is None:
         triples = filter_for_prediction(log)
     out: list[PredictionInstance] = []
-    stats_cache: dict[tuple[str, int], CorpusStats] = {}
+    corpus_topic: Optional[str] = None
 
     for triple in triples:
         topic = log.topic(triple.topic_id)
@@ -147,21 +157,16 @@ def build_instances(
         q = triple.query_index
         m = len(topic.queries)
 
-        key = (topic.topic_id, l)
-        stats = stats_cache.get(key)
-        if stats is None:
-            stats = CorpusStats.from_documents(
-                tokenize(topic.round(r).text_of(pub))
-                for r in range(1, l + 1)
-                for pub in sorted(topic.round(r).documents)
-            )
-            stats_cache[key] = stats
+        if corpus_topic != topic.topic_id:
+            corpus = topic_corpus(topic)
+            corpus_topic = topic.topic_id
+        stats = corpus.stats(l)
 
         query_doc = tokenize(topic.queries[q])
         query_terms = frozenset(query_doc.tokens)
         stop_terms = frozenset(stopwords) - query_terms  # query terms take precedence
         winner_prev = prev.winner(q)
-        winner_doc = tokenize(prev.text_of(winner_prev))
+        winner_doc = corpus.doc(l - 1, winner_prev)
         winner_terms = frozenset(winner_doc.term_counts)
         winner_vec = tfidf_vector(winner_doc, stats)
 
@@ -169,15 +174,15 @@ def build_instances(
         distinct_winners = sorted({prev.winner(j) for j in range(m)})
         centroid: dict[str, float] = {}
         for pub in distinct_winners:
-            vec = tfidf_vector(tokenize(prev.text_of(pub)), stats)
+            vec = tfidf_vector(corpus.doc(l - 1, pub), stats)
             for t, v in vec.items():
                 centroid[t] = centroid.get(t, 0.0) + v
         centroid = {t: v / len(distinct_winners) for t, v in centroid.items()}
 
         candidates = [pub for pub in prev.rankings[q] if pub != winner_prev]
         for pub in candidates:
-            doc_now = tokenize(now.text_of(pub))
-            doc_prev = tokenize(prev.text_of(pub))
+            doc_now = corpus.doc(l, pub)
+            doc_prev = corpus.doc(l - 1, pub)
             now_terms = frozenset(doc_now.term_counts)
             prev_terms = frozenset(doc_prev.term_counts)
             all_terms = now_terms | prev_terms | winner_terms
@@ -256,9 +261,15 @@ def build_instances_parallel(
     for t in triples:
         by_topic.setdefault(t.topic_id, []).append(t)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # each worker receives only the topic its chunk needs
         futures = [
-            pool.submit(build_instances, log, chunk, stopwords)
-            for chunk in by_topic.values()
+            pool.submit(
+                build_instances,
+                CompetitionLog(topics=(log.topic(topic_id),)),
+                chunk,
+                stopwords,
+            )
+            for topic_id, chunk in by_topic.items()
         ]
         out: list[PredictionInstance] = []
         for fut in futures:

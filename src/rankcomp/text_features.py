@@ -7,6 +7,13 @@ stopword fraction and coverage, term-distribution entropy).  Ranking
 similarity is extrapolated rank-biased overlap; the diversity helpers
 (Jaccard, reciprocal rank fusion, greedy min-similarity selection) support
 picking query variants that are distinct from each other.
+
+Every document of round l is featured against the background statistics
+of its topic's rounds 1..l.  ``TopicCorpus`` is the one path to them: it
+tokenizes each document of a topic once and extends running counts round
+by round, handing out the ``CorpusStats`` of every prefix.  Synthesis,
+instance building and the feature reports each build one per topic and
+drop it before the next.
 """
 
 from __future__ import annotations
@@ -61,22 +68,73 @@ class CorpusStats:
 
     @classmethod
     def from_documents(cls, docs: Iterable[TokenizedDocument]) -> "CorpusStats":
-        df: Counter = Counter()
-        coll: Counter = Counter()
-        n = 0
-        total_len = 0
+        counts = _RunningCounts()
         for doc in docs:
-            n += 1
-            total_len += doc.length
-            coll.update(doc.term_counts)
-            df.update(doc.term_counts.keys())
-        return cls(
+            counts.add(doc)
+        return counts.snapshot()
+
+
+class _RunningCounts:
+    """df, collection counts and length total of the documents added so far."""
+
+    def __init__(self) -> None:
+        self.df: Counter = Counter()
+        self.coll: Counter = Counter()
+        self.n = 0
+        self.total_len = 0
+
+    def add(self, doc: TokenizedDocument) -> None:
+        self.n += 1
+        self.total_len += doc.length
+        self.coll.update(doc.term_counts)
+        self.df.update(doc.term_counts.keys())
+
+    def snapshot(self) -> CorpusStats:
+        """The statistics so far; copies the counters, so later adds leave it alone."""
+        n = self.n
+        return CorpusStats(
             doc_count=n,
-            df=df,
-            avg_doc_len=total_len / n if n else 0.0,
-            collection_counts=coll,
-            collection_total=sum(coll.values()),
+            df=self.df.copy(),
+            avg_doc_len=self.total_len / n if n else 0.0,
+            collection_counts=self.coll.copy(),
+            collection_total=sum(self.coll.values()),
         )
+
+
+class TopicCorpus:
+    """One topic's tokenized documents and the statistics of every round prefix.
+
+    Rounds are added in order.  Each document is tokenized once, and the
+    df / collection counts / length total grow by one round at a time, so
+    ``stats(l)`` (equal to ``CorpusStats.from_documents`` over the
+    documents of rounds 1..l, publishers in sorted order) costs one pass
+    over round l instead of over rounds 1..l.  Callers build one per topic
+    and drop it when they move on, so only one topic's tokens are held.
+    """
+
+    def __init__(self) -> None:
+        self._counts = _RunningCounts()
+        self._docs: list[dict[str, TokenizedDocument]] = []
+        self._stats: list[CorpusStats] = []
+
+    def add_round(self, docs: Mapping[str, TokenizedDocument]) -> CorpusStats:
+        """Append the next round's publisher -> document mapping; return its stats."""
+        ordered = {pub: docs[pub] for pub in sorted(docs)}
+        for doc in ordered.values():
+            self._counts.add(doc)
+        stats = self._counts.snapshot()
+        self._docs.append(ordered)
+        self._stats.append(stats)
+        return stats
+
+    def doc(self, round_index: int, publisher: str) -> TokenizedDocument:
+        return self._docs[round_index - 1][publisher]
+
+    def stats(self, round_index: int) -> CorpusStats:
+        """Statistics over the documents of rounds 1..round_index."""
+        if not 1 <= round_index <= len(self._stats):
+            raise DomainError(f"round {round_index} outside 1..{len(self._stats)}")
+        return self._stats[round_index - 1]
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,36 @@ class TestPipelineCommands:
         header = out.read_text(encoding="utf-8").splitlines()[0]
         assert header.startswith("topic_id,round_index,query_index,publisher,tf,")
 
+    def test_features_extract_matches_per_round_reference(self, runner, synth_log, tmp_path):
+        import csv
+
+        from rankcomp.competition_log import load_log
+        from rankcomp.stopwords import DEFAULT_STOPWORDS
+        from rankcomp.text_features import FEATURE_NAMES, CorpusStats, compute_features, tokenize
+
+        out = tmp_path / "feats.csv"
+        invoke(runner, ["features", "extract", "--log", str(synth_log), "--out", str(out)])
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["topic_id", "round_index", "query_index", "publisher"]
+                            + list(FEATURE_NAMES))
+            for topic in load_log(synth_log).topics:
+                for rnd in topic.rounds:
+                    stats = CorpusStats.from_documents(
+                        tokenize(topic.round(r).text_of(pub))
+                        for r in range(1, rnd.round_index + 1)
+                        for pub in sorted(topic.round(r).documents)
+                    )
+                    for q, query_text in enumerate(topic.queries):
+                        for pub in sorted(rnd.documents):
+                            feats = compute_features(tokenize(rnd.text_of(pub)),
+                                                     tokenize(query_text), stats,
+                                                     DEFAULT_STOPWORDS)
+                            writer.writerow([topic.topic_id, rnd.round_index, q, pub]
+                                            + [repr(v) for v in feats.as_tuple()])
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_features_rbo(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         a.write_text("[1, 2]", encoding="utf-8")

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +11,25 @@ from rankcomp.competition_log import (
     LogFormatError,
     RoundRecord,
     SynthesisConfig,
+    document_features,
     filter_for_prediction,
     load_log,
+    report_feature_trajectories,
     report_ranking_agreement,
     report_win_spread,
     save_log,
     synthesize,
+    topic_corpus,
 )
 from rankcomp.numeric import DomainError
-from rankcomp.text_features import CorpusStats, tfidf_cosine, tokenize
+from rankcomp.stopwords import DEFAULT_STOPWORDS
+from rankcomp.text_features import (
+    FEATURE_NAMES,
+    CorpusStats,
+    compute_features,
+    tfidf_cosine,
+    tokenize,
+)
 
 
 def tiny_history(topic_id="T0", texts=None, rankings=None, bots=frozenset()):
@@ -323,3 +334,131 @@ class TestSynthesize:
                         tfidf_cosine(tokenize(now.text_of(pub)), winner_doc, stats)
                     )
         assert sum(late) / len(late) > sum(early) / len(early)
+
+
+# --- the per-topic text structure ------------------------------------------------
+
+
+def prefix_stats_reference(topic, l):
+    """Rounds 1..l tokenized afresh and counted from scratch."""
+    return CorpusStats.from_documents(
+        tokenize(topic.round(r).text_of(pub))
+        for r in range(1, l + 1)
+        for pub in sorted(topic.round(r).documents)
+    )
+
+
+def feature_rows_reference(log, stopwords=DEFAULT_STOPWORDS):
+    """(topic id, round, query, publisher, features) with per-round from_documents."""
+    rows = []
+    for topic in log.topics:
+        for rnd in topic.rounds:
+            stats = prefix_stats_reference(topic, rnd.round_index)
+            for q, query_text in enumerate(topic.queries):
+                for pub in sorted(rnd.documents):
+                    feats = compute_features(
+                        tokenize(rnd.text_of(pub)), tokenize(query_text), stats, stopwords
+                    )
+                    rows.append((topic.topic_id, rnd.round_index, q, pub, feats))
+    return rows
+
+
+def hand_history_with_empty_document():
+    return GameHistory(
+        topic_id="E",
+        queries=("cat", "dog"),
+        rounds=(
+            RoundRecord(
+                round_index=1,
+                documents={"a": ("", False), "b": ("Cat cat, DOG!", False), "c": ("_", True)},
+                rankings=(("b", "a", "c"), ("b", "c", "a")),
+            ),
+        ),
+    )
+
+
+def assert_same_stats(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+    assert type(got.avg_doc_len) is type(want.avg_doc_len)
+
+
+class TestTopicCorpus:
+    @pytest.mark.parametrize(
+        "config, seed",
+        [
+            (SynthesisConfig(topics=3, rounds=6), 41),
+            (SynthesisConfig(topics=2, rounds=4, publishers=12, queries_per_topic=2), 42),
+            (SynthesisConfig(topics=2, rounds=1, publishers=2), 43),
+        ],
+    )
+    def test_prefix_stats_equal_from_scratch_on_synthetic_logs(self, config, seed):
+        log = synthesize(config, seed=seed)
+        for topic in log.topics:
+            corpus = topic_corpus(topic)
+            for l in range(1, len(topic.rounds) + 1):
+                assert_same_stats(corpus.stats(l), prefix_stats_reference(topic, l))
+                for pub, (text, _) in topic.round(l).documents.items():
+                    assert corpus.doc(l, pub) == tokenize(text)
+
+    def test_prefix_stats_with_an_empty_document_and_one_round(self):
+        topic = hand_history_with_empty_document()
+        corpus = topic_corpus(topic)
+        stats = corpus.stats(1)
+        assert_same_stats(stats, prefix_stats_reference(topic, 1))
+        assert stats.doc_count == 3
+        assert stats.avg_doc_len == 1.0
+        assert stats.df == {"cat": 1, "dog": 1}
+        assert corpus.doc(1, "a").length == 0
+
+    def test_rounds_outside_the_corpus_are_refused(self):
+        corpus = topic_corpus(hand_history_with_empty_document())
+        for l in (0, 2):
+            with pytest.raises(DomainError):
+                corpus.stats(l)
+
+    def test_document_features_equal_per_round_reference(self):
+        log = synthesize(SynthesisConfig(topics=3, rounds=5), seed=44)
+        got = [
+            (topic.topic_id, rnd.round_index, q, pub, feats)
+            for topic, rnd, q, pub, feats in document_features(log)
+        ]
+        assert got == feature_rows_reference(log)
+
+    def test_trajectories_equal_per_round_reference(self):
+        log = synthesize(SynthesisConfig(topics=3, rounds=5), seed=45)
+        acc = {}
+        for topic_id, l, q, pub, feats in feature_rows_reference(log):
+            rnd = log.topic(topic_id).round(l)
+            group = "winner" if rnd.winner(q) == pub else "loser"
+            acc.setdefault((l, group), []).append(feats.as_tuple())
+        want = {}
+        for (l, group), rows in sorted(acc.items()):
+            means = [sum(col) / len(col) for col in zip(*rows)]
+            want.setdefault(l, {})[group] = dict(zip(FEATURE_NAMES, means))
+        assert repr(report_feature_trajectories(log)) == repr(want)
+
+
+class TestTopicIndex:
+    def test_lookup_and_unknown_id(self):
+        log = CompetitionLog(topics=(tiny_history("A"), tiny_history("B")))
+        assert log.topic("B") is log.topics[1]
+        with pytest.raises(DomainError, match="unknown topic"):
+            log.topic("C")
+
+    def test_first_history_wins_on_repeated_ids(self):
+        first = tiny_history("A")
+        second = tiny_history("A", texts={"x": "y", "z": "w"})
+        log = CompetitionLog(topics=(first, second))
+        assert log.topic("A") is first
+
+    def test_index_stays_out_of_equality_repr_and_survives_pickling(self):
+        topics = (tiny_history("A"), tiny_history("B"))
+        log = CompetitionLog(topics=topics, metadata={"k": 1})
+        assert log == CompetitionLog(topics=topics, metadata={"k": 1})
+        assert repr(log) == (
+            f"CompetitionLog(topics={topics!r}, metadata={{'k': 1}})"
+        )
+        restored = pickle.loads(pickle.dumps(log))
+        assert restored == log
+        assert restored.topic("B") == topics[1]

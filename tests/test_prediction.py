@@ -10,6 +10,7 @@ from rankcomp.competition_log import (
     GameHistory,
     RoundRecord,
     SynthesisConfig,
+    filter_for_prediction,
     synthesize,
 )
 from rankcomp.logreg import (
@@ -676,3 +677,52 @@ class TestParallelBuild:
         serial = build_instances(log)
         for jobs in (1, 2, 3):
             assert build_instances_parallel(log, jobs=jobs) == serial
+
+    def test_each_worker_receives_only_its_topic(self, monkeypatch):
+        import concurrent.futures
+
+        from rankcomp.prediction import build_instances_parallel
+
+        submitted = []
+
+        class InlinePool:
+            """Runs submissions in-process and records what each one was sent."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, log, chunk, stopwords):
+                submitted.append((log, chunk))
+                future = concurrent.futures.Future()
+                future.set_result(fn(log, chunk, stopwords))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        log = synthesize(SynthesisConfig(topics=3, rounds=4), seed=32)
+        assert build_instances_parallel(log, jobs=2) == build_instances(log)
+        assert [sub_log.topics for sub_log, _ in submitted] == [(t,) for t in log.topics]
+        for sub_log, chunk in submitted:
+            assert {t.topic_id for t in chunk} == {sub_log.topics[0].topic_id}
+
+
+class TestTopicOrder:
+    def test_interleaved_topics_keep_input_order(self):
+        log = synthesize(SynthesisConfig(topics=3, rounds=5), seed=33)
+        by_topic = {}
+        for t in filter_for_prediction(log):
+            by_topic.setdefault(t.topic_id, []).append(t)
+        a, b = list(by_topic.values())[:2]
+        assert len(a) >= 2 and b
+        half = len(a) // 2
+        triples = a[:half] + b + a[half:]  # topic A, then B, then A again
+        got = build_instances(log, triples)
+        want = [inst for t in triples for inst in build_instances(log, [t])]
+        assert got == want
+        assert [inst.group_key for inst in got] == [inst.group_key for inst in want]
+        assert got[0].topic_id == got[-1].topic_id == a[0].topic_id
