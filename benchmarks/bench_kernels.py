@@ -4,10 +4,8 @@ Run from the repository root:
 
     python benchmarks/bench_kernels.py
 
-The grid screen's numba and numpy implementations are called directly
-(no env-flag juggling); the numba path is warmed once so compilation time
-is reported separately from steady-state throughput.  The logistic-
-regression kernel is timed for one C value and for a batch of four.
+The grid screen is timed on random profiles; the logistic-regression
+kernel is timed for one C value and for a batch of four.
 """
 
 import time
@@ -39,20 +37,9 @@ def bench_grid_screen():
     prof = rng.integers(0, S, size=(P, n))
     peak = 1.0 / 3.0
 
-    if kernels.HAVE_NUMBA:
-        t0 = time.perf_counter()
-        kernels.grid_screen_numba(strat, prof[:128], peak)
-        compile_s = time.perf_counter() - t0
-        t_numba = _time(kernels.grid_screen_numba, strat, prof, peak)
-    else:
-        compile_s = float("nan")
-        t_numba = float("nan")
-    t_numpy = _time(kernels.grid_screen_numpy, strat, prof, peak)
+    t_screen = _time(kernels.grid_screen, strat, prof, peak)
     print(f"grid_screen  ({P} profiles, n={n}, m={m})")
-    print(f"  numba : {t_numba:8.3f} s   (first-call compile {compile_s:.2f} s)")
-    print(f"  numpy : {t_numpy:8.3f} s")
-    if kernels.HAVE_NUMBA:
-        print(f"  speedup: {t_numpy / t_numba:5.1f}x")
+    print(f"  time  : {t_screen:8.3f} s")
 
 
 def bench_logreg():
@@ -71,9 +58,6 @@ def bench_logreg():
 
 
 if __name__ == "__main__":
-    print(f"numba available: {kernels.HAVE_NUMBA}")
-    print(f"active backend : {kernels.active_backend()}")
-    print()
     bench_grid_screen()
     print()
     bench_logreg()

@@ -127,7 +127,15 @@ def _env_seed():
 
 def _env_jobs():
     raw = os.environ.get("RANKCOMP_JOBS")
-    return int(raw) if raw else 1
+    if not raw:
+        return 1
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise DomainError(f"RANKCOMP_JOBS must be an integer >= 1, got {raw!r}")
+    return jobs
 
 
 class _Cli(click.Group):

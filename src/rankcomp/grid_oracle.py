@@ -2,22 +2,27 @@
 
 Strategies are restricted to emphases that are multiples of 1/g (still on
 the capped simplex); profiles are enumerated lexicographically, by default
-up to player-permutation symmetry.  In ``exact`` deviation mode each grid
-profile is screened in floats (see :mod:`rankcomp.kernels`) and survivors
-are confirmed with exact rational best responses against *continuous*
-deviations — so a reported profile is a genuine equilibrium of the full
-game, while an empty result only corroborates non-existence (equilibria
-may lie off-grid).  The float screen scores with the tent, so ``exact``
-mode refuses any other f.  ``grid`` mode checks deviations restricted to
-grid strategies, accepts any f, and is diagnostic only: it can accept
-spurious profiles.
+up to player-permutation symmetry.
+
+``exact`` mode streams the profile indices in int64 chunks through the
+float screen :func:`rankcomp.kernels.grid_screen`, inline or on a process
+pool holding at most two chunks per worker, and confirms each survivor,
+in enumeration order, with exact rational best responses against
+*continuous* deviations.  A reported profile is therefore a genuine
+equilibrium of the full game, while an empty result only corroborates
+non-existence (equilibria may lie off-grid).  The screen scores with the
+tent, so ``exact`` mode refuses any other f.
+
+``grid`` mode checks deviations restricted to grid strategies, accepts
+any f, and is diagnostic only: it can accept spurious profiles.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, islice, product
 from math import comb
 
 import numpy as np
@@ -28,6 +33,7 @@ from .game import EmphasisVector, RankingGame, SinglePeakFunction, StrategyProfi
 from .numeric import CapacityError, DomainError, Number, parse_number
 
 DEFAULT_BUDGET = 100_000_000
+_CHUNK_ROWS = 65536  # profiles per float-screen chunk
 
 
 @dataclass(frozen=True)
@@ -113,27 +119,45 @@ def grid_profiles(spec: GridSpec):
         yield StrategyProfile([strategies[i] for i in idx])
 
 
-def _screen_exact_mode(spec: GridSpec, game: RankingGame, chunk_size: int = 65536):
-    """Float-screen all grid profiles, yield surviving index tuples."""
-    numerators = grid_strategies(spec)
-    strat = np.array(numerators, dtype=np.float64) / spec.g
+def _screen_survivors(spec: GridSpec, jobs: int = 1):
+    """Float-screen every grid profile, yield surviving index tuples in order.
+
+    Profiles are cut into int64 chunks of at most ``_CHUNK_ROWS`` rows.
+    With ``jobs > 1`` the chunks go to a process pool that holds at most
+    ``2 * jobs`` of them at a time, so memory stays bounded.
+    """
+    strat = np.array(grid_strategies(spec), dtype=np.float64) / spec.g
     peak = float(spec.peak)
-    buf: list[tuple[int, ...]] = []
-    for idx in _index_profiles(spec, len(numerators)):
-        buf.append(idx)
-        if len(buf) >= chunk_size:
-            yield from _screen_chunk(strat, buf, peak)
-            buf = []
-    if buf:
-        yield from _screen_chunk(strat, buf, peak)
+    chunks = _index_chunks(spec, strat.shape[0])
+    if jobs <= 1:
+        for prof in chunks:
+            yield from _survivors(strat, prof, peak)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pending = deque()
+        for prof in chunks:
+            if len(pending) >= 2 * jobs:
+                yield from pending.popleft().result()
+            pending.append(pool.submit(_survivors, strat, prof, peak))
+        while pending:
+            yield from pending.popleft().result()
 
 
-def _screen_chunk(strat, buf, peak):
-    prof = np.array(buf, dtype=np.int64)
-    mask = kernels.grid_screen(strat, prof, peak)
-    for keep, idx in zip(mask, buf):
-        if keep:
-            yield idx
+def _index_chunks(spec: GridSpec, count: int):
+    index = _index_profiles(spec, count)
+    row = np.dtype((np.int64, spec.n))
+    while True:
+        prof = np.fromiter(islice(index, _CHUNK_ROWS), dtype=row)
+        if not prof.shape[0]:
+            return
+        yield prof
+
+
+def _survivors(strat, prof, peak) -> list[tuple[int, ...]]:
+    keep = kernels.grid_screen(strat, prof, peak).astype(bool)
+    return [tuple(idx) for idx in prof[keep].tolist()]
 
 
 def grid_nash_search(
@@ -158,12 +182,7 @@ def grid_nash_search(
         numerators = grid_strategies(spec)
         strategies = [_strategy_vector(s, spec.g) for s in numerators]
         found = []
-        index_iter = (
-            _screen_exact_mode(spec, game)
-            if jobs <= 1
-            else _screen_exact_parallel(spec, game, jobs)
-        )
-        for idx in index_iter:
+        for idx in _screen_survivors(spec, jobs):
             profile = StrategyProfile([strategies[i] for i in idx])
             if verify_nash(game, profile).is_nash:
                 found.append(profile)
@@ -216,29 +235,3 @@ def _grid_stable(game, profile, strategies) -> bool:
             if utilities(game, profile.replace(i, alt))[i] > current[i]:
                 return False
     return True
-
-
-def _screen_exact_parallel(spec: GridSpec, game: RankingGame, jobs: int):
-    """Chunked parallel screen; results merged in submission order."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    numerators = grid_strategies(spec)
-    strat = np.array(numerators, dtype=np.float64) / spec.g
-    peak = float(spec.peak)
-    chunk: list[tuple[int, ...]] = []
-    chunks: list[list[tuple[int, ...]]] = []
-    for idx in _index_profiles(spec, len(numerators)):
-        chunk.append(idx)
-        if len(chunk) >= 65536:
-            chunks.append(chunk)
-            chunk = []
-    if chunk:
-        chunks.append(chunk)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_screen_worker, strat, c, peak) for c in chunks]
-        for fut in futures:
-            yield from fut.result()
-
-
-def _screen_worker(strat, buf, peak):
-    return list(_screen_chunk(strat, buf, peak))

@@ -2,21 +2,18 @@
 
 Two inner loops dominate runtime: screening millions of grid profiles for
 equilibrium candidates, and the proximal-gradient fits inside the
-cross-validation protocol.
+cross-validation protocol.  Each is one vectorized numpy function.
 
-The grid screen ships in two implementations with identical decisions:
+``grid_screen`` scores a chunk of grid profiles with the tent and asks,
+for every player, whether some subset of queries to invest in beats the
+player's current utility (the invest-set model of
+:mod:`rankcomp.best_response`, over 2^m sets).  It is float arithmetic
+over quantities whose exact values are rationals with small
+denominators, so a 1e-9 acceptance margin cannot misclassify; accepted
+profiles are re-verified exactly by the caller.
 
-* ``grid_screen_numba`` — ``@njit`` compiled, used when numba imports cleanly;
-* ``grid_screen_numpy`` — vectorized fallback.
-
-Selection is controlled by the ``RANKCOMP_BACKEND`` environment variable:
-``numba``, ``numpy``, or ``auto`` (default: numba when available).  The
-screen is float arithmetic over quantities whose exact values are
-rationals with small denominators, so a 1e-9 acceptance margin cannot
-misclassify; accepted profiles are re-verified exactly by the caller.
-
-The logistic-regression fit is a single numpy kernel that solves a whole
-grid of regularization strengths on one training set at once.
+``logreg_fit`` solves a whole grid of regularization strengths on one
+training set at once.
 
 ``benchmarks/bench_kernels.py`` times both kernels.
 """
@@ -24,34 +21,11 @@ grid of regularization strengths on one training set at once.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:  # pragma: no cover - exercised indirectly via backend selection
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
-
 _EQ_TOL = 1e-12  # score-equality threshold (exact values are well separated)
 _MARGIN = 1e-9  # attained-vs-current acceptance margin for the screen
-
-
-def active_backend() -> str:
-    """Resolve the backend from RANKCOMP_BACKEND (numba|numpy|auto)."""
-    choice = os.environ.get("RANKCOMP_BACKEND", "auto").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("RANKCOMP_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice == "auto" or choice == "":
-        return "numba" if HAVE_NUMBA else "numpy"
-    raise RuntimeError(f"unknown RANKCOMP_BACKEND {choice!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -59,112 +33,21 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _screen_py(strat, prof, peak, out):
-    """Reference loop shared by both backends (numba-compilable).
+def grid_screen(strat: np.ndarray, prof: np.ndarray, peak: float) -> np.ndarray:
+    """Flag the profiles where no player has an improving deviation.
 
     strat: (S, m) float emphases of the distinct grid strategies
-    prof:  (P, n) int32 indices into strat
-    out:   (P,) uint8, set to 1 when no player has an improving deviation
+    prof:  (P, n) int indices into strat
+    Returns (P,) uint8, 1 where the profile survives the screen.
+
+    A deviation invests in a set of queries; a tie and a solo on a query
+    cost the same, so within an affordable set every query takes its
+    better role: a solo where the top opponent is beatable, else a tie.
+    Solos need a margin under the unit budget, so a set costing 1 (within
+    ``_EQ_TOL``) can only tie, and a dearer set is infeasible.  Each sum
+    adds its terms in query order, so a set's value is bitwise the best of
+    its per-query role choices.
     """
-    P, n = prof.shape
-    m = strat.shape[1]
-    scores = np.empty((n, m))
-    combos = 3**m
-    for p in range(P):
-        for i in range(n):
-            row = strat[prof[p, i]]
-            for q in range(m):
-                x = row[q]
-                if peak <= 0.0:
-                    s = 1.0 - x
-                elif peak >= 1.0:
-                    s = x
-                elif x <= peak:
-                    s = x / peak
-                else:
-                    s = (1.0 - x) / (1.0 - peak)
-                scores[i, q] = s
-        ok = True
-        for i in range(n):
-            # opponent top per query, tie count, own current share
-            current = 0.0
-            costs = np.empty(m)
-            tie_share = np.empty(m)
-            solo_ok = np.empty(m, dtype=np.uint8)
-            zero_val = np.empty(m)
-            for q in range(m):
-                top = -1.0
-                cnt = 0
-                for k in range(n):
-                    if k == i:
-                        continue
-                    s = scores[k, q]
-                    if s > top + _EQ_TOL:
-                        top = s
-                        cnt = 1
-                    elif s > top - _EQ_TOL:
-                        cnt += 1
-                own = scores[i, q]
-                if own > top + _EQ_TOL:
-                    current += 1.0
-                elif own > top - _EQ_TOL:
-                    current += 1.0 / (cnt + 1)
-                costs[q] = top * peak if top > 0.0 else 0.0
-                tie_share[q] = 1.0 / (cnt + 1)
-                solo_ok[q] = 1 if top < 1.0 - _EQ_TOL else 0
-                zero_val[q] = tie_share[q] if top <= _EQ_TOL else 0.0
-            # enumerate per-query roles: 0 skip, 1 tie, 2 solo
-            best = 0.0
-            for combo in range(combos):
-                c = combo
-                cost = 0.0
-                value = 0.0
-                needs_eps = False
-                valid = True
-                for q in range(m):
-                    d = c % 3
-                    c //= 3
-                    if d == 0:
-                        value += zero_val[q]
-                    elif d == 1:
-                        cost += costs[q]
-                        value += tie_share[q]
-                    else:
-                        if solo_ok[q] == 0:
-                            valid = False
-                            break
-                        cost += costs[q]
-                        value += 1.0
-                        needs_eps = True
-                if not valid or cost > 1.0 + _EQ_TOL:
-                    continue
-                if needs_eps and cost >= 1.0 - _EQ_TOL:
-                    continue
-                if value > best:
-                    best = value
-            if best > current + _MARGIN:
-                ok = False
-                break
-        out[p] = 1 if ok else 0
-    return out
-
-
-if HAVE_NUMBA:
-    _screen_numba_jit = numba.njit(cache=True)(_screen_py)
-
-
-def grid_screen_numba(strat: np.ndarray, prof: np.ndarray, peak: float) -> np.ndarray:
-    out = np.zeros(prof.shape[0], dtype=np.uint8)
-    return _screen_numba_jit(
-        np.ascontiguousarray(strat, dtype=np.float64),
-        np.ascontiguousarray(prof, dtype=np.int64),
-        float(peak),
-        out,
-    )
-
-
-def grid_screen_numpy(strat: np.ndarray, prof: np.ndarray, peak: float) -> np.ndarray:
-    """Vectorized screen over profile chunks; same decisions as the loop."""
     strat = np.asarray(strat, dtype=np.float64)
     prof = np.asarray(prof, dtype=np.int64)
     P, n = prof.shape
@@ -180,6 +63,10 @@ def grid_screen_numpy(strat: np.ndarray, prof: np.ndarray, peak: float) -> np.nd
     ok = np.ones(P, dtype=bool)
     if n == 1:
         return ok.astype(np.uint8)
+    cost = np.empty(P)
+    open_value = np.empty(P)
+    tie_value = np.empty(P)
+    best = np.empty(P)
     for i in range(n):
         opp = np.delete(scores, i, axis=1)  # (P, n-1, m)
         top = opp.max(axis=1)  # (P, m)
@@ -188,41 +75,35 @@ def grid_screen_numpy(strat: np.ndarray, prof: np.ndarray, peak: float) -> np.nd
         current = np.where(
             own > top + _EQ_TOL, 1.0, np.where(own > top - _EQ_TOL, 1.0 / (cnt + 1), 0.0)
         ).sum(axis=1)
-        costs = np.where(top > 0.0, top * peak, 0.0)
         tie_share = 1.0 / (cnt + 1)
-        solo_ok = top < 1.0 - _EQ_TOL
-        zero_val = np.where(top <= _EQ_TOL, tie_share, 0.0)
+        # per-query rows, (m, P): the cost to reach the top opponent, the
+        # value of skipping and of the better role once paid for
+        costs = np.ascontiguousarray(np.where(top > 0.0, top * peak, 0.0).T)
+        zero_val = np.ascontiguousarray(np.where(top <= _EQ_TOL, tie_share, 0.0).T)
+        open_share = np.ascontiguousarray(np.where(top < 1.0 - _EQ_TOL, 1.0, tie_share).T)
+        tie_share = np.ascontiguousarray(tie_share.T)
 
-        best = np.zeros(P)
-        for combo in range(3**m):
-            digits = [(combo // 3**q) % 3 for q in range(m)]
-            valid = np.ones(P, dtype=bool)
-            cost = np.zeros(P)
-            value = np.zeros(P)
-            needs_eps = any(d == 2 for d in digits)
-            for q, d in enumerate(digits):
-                if d == 0:
-                    value += zero_val[:, q]
-                elif d == 1:
-                    cost += costs[:, q]
-                    value += tie_share[:, q]
+        best.fill(0.0)
+        for invest in range(1 << m):
+            cost.fill(0.0)
+            open_value.fill(0.0)
+            tie_value.fill(0.0)
+            for q in range(m):
+                if invest >> q & 1:
+                    cost += costs[q]
+                    open_value += open_share[q]
+                    tie_value += tie_share[q]
                 else:
-                    cost += costs[:, q]
-                    value += 1.0
-                    valid &= solo_ok[:, q]
-            feasible = cost <= 1.0 + _EQ_TOL
-            if needs_eps:
-                feasible &= cost < 1.0 - _EQ_TOL
-                feasible &= valid
-            np.maximum(best, np.where(feasible, value, 0.0), out=best)
+                    open_value += zero_val[q]
+                    tie_value += zero_val[q]
+            value = np.where(
+                cost < 1.0 - _EQ_TOL,
+                open_value,
+                np.where(cost <= 1.0 + _EQ_TOL, tie_value, 0.0),
+            )
+            np.maximum(best, value, out=best)
         ok &= best <= current + _MARGIN
     return ok.astype(np.uint8)
-
-
-def grid_screen(strat: np.ndarray, prof: np.ndarray, peak: float) -> np.ndarray:
-    if active_backend() == "numba":
-        return grid_screen_numba(strat, prof, peak)
-    return grid_screen_numpy(strat, prof, peak)
 
 
 # ---------------------------------------------------------------------------

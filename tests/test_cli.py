@@ -310,3 +310,18 @@ class TestJobsFlag:
         invoke(runner, ["predict", "build", "--log", str(log), "--out", str(b),
                         "--jobs", "2"])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+    def test_invalid_jobs_env_is_a_domain_error(self, runner, monkeypatch, tmp_path, raw):
+        monkeypatch.setenv("RANKCOMP_JOBS", raw)
+        log = tmp_path / "log.jsonl"
+        log.write_text("", encoding="utf-8")  # refused before the log is read
+        commands = [
+            ["game", "oracle", "--n", "2", "--m", "2", "--peak", "1/2", "--grid", "2"],
+            ["predict", "build", "--log", str(log), "--out", str(tmp_path / "inst.csv")],
+        ]
+        for args in commands:
+            res = runner.invoke(main, args)
+            assert res.exit_code == 1, args
+            assert res.stdout == ""
+            assert "RANKCOMP_JOBS" in json.loads(res.stderr)["error"]

@@ -1,4 +1,3 @@
-import os
 from fractions import Fraction as F
 
 import numpy as np
@@ -16,6 +15,7 @@ from rankcomp.grid_oracle import (
     strategy_count,
 )
 from rankcomp.numeric import CapacityError, DomainError
+from screen_oracle import screen_oracle
 
 
 class TestCounting:
@@ -113,14 +113,68 @@ class TestExactSearch:
         assert grid_nash_search(game, spec, deviation_mode="grid").mode == "grid"
 
     def test_parallel_jobs_match_serial(self):
-        peak = F(1, 2)
-        game = RankingGame.tent(2, 3, peak)
-        spec = GridSpec(g=4, n=2, m=3, peak=peak)
-        serial = grid_nash_search(game, spec, jobs=1)
-        parallel = grid_nash_search(game, spec, jobs=2)
-        assert [p.strategies for p in serial.equilibria] == [
-            p.strategies for p in parallel.equilibria
-        ]
+        for n, m, g, peak, symmetry in [
+            (2, 3, 4, F(1, 2), True),
+            (3, 2, 3, F(1, 3), True),
+            (2, 2, 3, F(1, 3), False),
+        ]:
+            game = RankingGame.tent(n, m, peak)
+            spec = GridSpec(g=g, n=n, m=m, peak=peak, symmetry=symmetry)
+            serial = grid_nash_search(game, spec, jobs=1)
+            parallel = grid_nash_search(game, spec, jobs=2)
+            assert serial.equilibria
+            assert [p.strategies for p in serial.equilibria] == [
+                p.strategies for p in parallel.equilibria
+            ]
+            assert serial.profiles_checked == parallel.profiles_checked == profile_count(spec)
+            assert serial.strategy_count == parallel.strategy_count
+
+    def test_parallel_screen_keeps_at_most_two_chunks_per_job(self, monkeypatch):
+        import concurrent.futures
+
+        from rankcomp import grid_oracle
+
+        in_flight = []
+
+        class LazyFuture:
+            """Computes on first ``result()``, as a slow worker would."""
+
+            def __init__(self, fn, args):
+                self.fn, self.args, self.done = fn, args, False
+
+            def result(self):
+                if not self.done:
+                    self.value, self.done = self.fn(*self.args), True
+                return self.value
+
+        class RecordingPool:
+            """Runs submissions in-process and records the unresolved futures."""
+
+            def __init__(self, max_workers):
+                self.futures = []
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                self.futures.append(LazyFuture(fn, args))
+                in_flight.append(sum(not f.done for f in self.futures))
+                return self.futures[-1]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(grid_oracle, "_CHUNK_ROWS", 7)
+        spec = GridSpec(g=3, n=2, m=3, peak=F(1, 3))
+        jobs = 2
+        serial = list(grid_oracle._screen_survivors(spec, jobs=1))
+        parallel = list(grid_oracle._screen_survivors(spec, jobs=jobs))
+        assert len(in_flight) == -(-profile_count(spec) // 7)  # one submit per chunk
+        assert max(in_flight) == 2 * jobs
+        assert serial and parallel == serial
+        game = RankingGame.tent(2, 3, spec.peak)
+        assert grid_nash_search(game, spec, jobs=jobs) == grid_nash_search(game, spec, jobs=1)
 
 
 class TestKernelBackends:
@@ -132,14 +186,25 @@ class TestKernelBackends:
         prof = rng.integers(0, S, size=(P, n))
         return strat, prof
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_numba_and_numpy_screens_agree(self):
+    def test_screen_equals_role_combination_oracle(self):
+        # the 2^m invest-set screen decides exactly as the 3^m role walk
         rng = np.random.default_rng(7)
-        for n, m, peak in [(2, 3, 0.5), (3, 2, 0.25), (2, 4, 1 / 3), (4, 2, 0.8)]:
-            strat, prof = self._random_inputs(rng, n, m)
-            a = kernels.grid_screen_numba(strat, prof, peak)
-            b = kernels.grid_screen_numpy(strat, prof, peak)
-            assert np.array_equal(a, b)
+        kept = total = 0
+        for n in range(1, 5):
+            for m in range(1, 5):
+                for peak in (0.0, 1.0, 1 / 3, 0.5, 0.8):
+                    fine = self._random_inputs(rng, n, m, S=30, P=40)
+                    g = int(rng.integers(1, 4))  # tie-heavy coarse grid
+                    nums = grid_strategies(GridSpec(g=g, n=n, m=m, peak=F(1, 2)))
+                    coarse = np.array(nums, dtype=np.float64) / g
+                    coarse_prof = rng.integers(0, len(nums), size=(40, n))
+                    for strat, prof in (fine, (coarse, coarse_prof)):
+                        mask = kernels.grid_screen(strat, prof, peak)
+                        assert mask.dtype == np.uint8
+                        assert np.array_equal(mask, screen_oracle(strat, prof, peak))
+                        kept += int(mask.sum())
+                        total += len(mask)
+        assert 0 < kept < total
 
     def test_batched_logreg_fit_equals_single_fits(self):
         # solving a grid of alphas together must not change a single bit
@@ -154,15 +219,6 @@ class TestKernelBackends:
                 w, b = kernels.logreg_fit(X, y, [alpha], 0.05, 300)
                 assert np.array_equal(W[k], w[0])
                 assert np.array_equal(B[k], b[0])
-
-    def test_backend_env_selection(self, monkeypatch):
-        monkeypatch.setenv("RANKCOMP_BACKEND", "numpy")
-        assert kernels.active_backend() == "numpy"
-        monkeypatch.setenv("RANKCOMP_BACKEND", "auto")
-        assert kernels.active_backend() in {"numba", "numpy"}
-        monkeypatch.setenv("RANKCOMP_BACKEND", "nonsense")
-        with pytest.raises(RuntimeError):
-            kernels.active_backend()
 
     def test_screen_agrees_with_exact_verification(self):
         # float screen must keep every true equilibrium of small instances
