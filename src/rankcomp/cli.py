@@ -370,7 +370,7 @@ def game_dynamics(ctx, init_path, replay_path, order, seed, max_rounds, epsilon,
 @click.option("--peak", required=True)
 @click.option("--grid", "g_res", type=int, required=True)
 @click.option("--mode", type=click.Choice(["exact", "grid"]), default="exact")
-@click.option("--jobs", type=int, default=None)
+@click.option("--jobs", type=click.IntRange(min=1), default=None)
 @click.option("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET)
 @click.option("--no-symmetry", is_flag=True)
 @_schema_option({"mode": "str", "profiles_checked": "int", "strategy_count": "int",
@@ -560,7 +560,7 @@ def predict():
 @click.option("--stopwords", "stopwords_path", type=click.Path(exists=True), default=None)
 @click.option("--normalize/--no-normalize", default=True,
               help="Apply per-query min-max normalization (default on).")
-@click.option("--jobs", type=int, default=None)
+@click.option("--jobs", type=click.IntRange(min=1), default=None)
 @_schema_option({"instances": "int", "groups": "int", "out": "str"})
 @click.pass_context
 def predict_build(ctx, log_path, out, stopwords_path, normalize, jobs):

@@ -8,21 +8,35 @@ players combined with a relabeling of queries, with the mover role mapped
 through the player relabeling.  The non-convergence example that motivates
 all of this alternates two players through profiles that repeat only up to
 such a symmetry.
+
+Symmetric matching tries, in order, the (n-1)! player relabelings that
+send one state's mover to the other's.  For each it matches query
+columns (a column is one query's emphases across players) greedily: each
+query of the earlier state takes the first unused equal column of the
+later one.  A query relabeling exists exactly when the two column
+multisets agree, and the greedy one is the lexicographically first, so
+any m is cheap.  Only the player walk is capped: symmetric mode raises
+CapacityError when (n-1)! > SYMMETRY_BUDGET, i.e. for n >= 10; exact mode
+has no cap.  Columns are compared with ``numbers_equal``, which is exact
+on rationals.  On floats its 1e-9 tolerance is not transitive, so where
+distinct column values lie within 1e-9 of each other the greedy match can
+miss a relabeling that trying every query permutation would find.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
 
 from .best_response import DEFAULT_EPSILON, best_response_value, best_response_witness
 from .game import RankingGame, StrategyProfile, require_valid, utilities
-from .numeric import DomainError, Number, numbers_equal
+from .numeric import CapacityError, DomainError, Number, numbers_equal
 
-#: skip symmetric detection when (n-1)! * m! exceeds this many mappings
+#: most player relabelings symmetric cycle detection may try, (n-1)!
 SYMMETRY_BUDGET = 200_000
+
+CYCLE_MODES = ("symmetric", "exact")
 
 
 @dataclass(frozen=True)
@@ -106,6 +120,7 @@ def run_dynamics(
     attained optimum (not the supremum): every strategy written down must
     be realizable.
     """
+    _check_cycle_mode(game, cycle_mode)
     require_valid(game, initial)
     if max_rounds < 1:
         raise DomainError("max_rounds must be >= 1")
@@ -130,7 +145,7 @@ def run_dynamics(
         if fresh_state:
             states.append((profile, mover))
             fresh_state = False
-            cyc = _find_cycle(game, states, cycle_mode)
+            cyc = _find_cycle(states, cycle_mode)
             if cyc is not None:
                 outcome = DynamicsOutcome(kind="cycled", cycle=cyc)
                 break
@@ -227,7 +242,22 @@ def _profiles_equal(a: StrategyProfile, b: StrategyProfile) -> bool:
     )
 
 
-def _find_cycle(game, states, mode) -> Optional[CycleInfo]:
+def _check_cycle_mode(game: RankingGame, mode: str) -> None:
+    if mode not in CYCLE_MODES:
+        raise DomainError(f"unknown cycle mode {mode!r}; expected one of {CYCLE_MODES}")
+    if mode == "symmetric":
+        relabelings = 1
+        for k in range(2, game.n):
+            relabelings *= k
+        if relabelings > SYMMETRY_BUDGET:
+            raise CapacityError(
+                f"symmetric cycle detection at n={game.n} would try (n-1)! = "
+                f"{relabelings} player relabelings, over the budget of "
+                f'{SYMMETRY_BUDGET}; use cycle_mode="exact"'
+            )
+
+
+def _find_cycle(states, mode) -> Optional[CycleInfo]:
     if len(states) < 2:
         return None
     last_profile, last_mover = states[-1]
@@ -237,7 +267,7 @@ def _find_cycle(game, states, mode) -> Optional[CycleInfo]:
         if mover_i == last_mover and _profiles_equal(profile_i, last_profile):
             return CycleInfo(first=i, second=j, equivalence="exact")
         if mode == "symmetric":
-            found = _symmetric_match(game, states[i], states[-1])
+            found = _symmetric_match(states[i], states[-1])
             if found is not None:
                 pperm, qperm = found
                 return CycleInfo(
@@ -247,17 +277,18 @@ def _find_cycle(game, states, mode) -> Optional[CycleInfo]:
     return None
 
 
-def _symmetric_match(game, state_a, state_b):
-    """Permutation pair mapping state_a onto state_b, if any.
+def _symmetric_match(state_a, state_b):
+    """First (player_perm, query_perm) mapping state_a onto state_b, if any.
 
-    Searches player permutations that send a's mover to b's mover, and
-    query permutations; mappings are capped by SYMMETRY_BUDGET.
+    Player k of a becomes player player_perm[k] of b, with a's mover sent
+    to b's mover, and query q becomes query query_perm[q].  Player
+    permutations are tried in order; for each, the greedy column match
+    gives the lexicographically first query permutation.
     """
     profile_a, mover_a = state_a
     profile_b, mover_b = state_b
-    n, m = game.n, game.m
-    if math.factorial(max(n - 1, 1)) * math.factorial(m) > SYMMETRY_BUDGET:
-        return None
+    n = len(profile_a)
+    columns_a = list(zip(*(s.emphases for s in profile_a.strategies)))
     others_a = [i for i in range(n) if i != mover_a]
     others_b = [i for i in range(n) if i != mover_b]
     for rest in permutations(others_b):
@@ -265,17 +296,26 @@ def _symmetric_match(game, state_a, state_b):
         pperm[mover_a] = mover_b
         for src, dst in zip(others_a, rest):
             pperm[src] = dst
-        for qperm in permutations(range(m)):
-            ok = True
-            for k in range(n):
-                va = profile_a[k].emphases
-                vb = profile_b[pperm[k]].emphases
-                if not all(numbers_equal(va[q], vb[qperm[q]]) for q in range(m)):
-                    ok = False
-                    break
-            if ok:
-                return tuple(pperm), tuple(qperm)
+        columns_b = list(zip(*(profile_b[k].emphases for k in pperm)))
+        qperm = _match_columns(columns_a, columns_b)
+        if qperm is not None:
+            return tuple(pperm), qperm
     return None
+
+
+def _match_columns(columns_a, columns_b) -> Optional[tuple[int, ...]]:
+    """Send each column of a to the first unused equal column of b."""
+    unused = list(range(len(columns_b)))
+    qperm = []
+    for col in columns_a:
+        for pos, q in enumerate(unused):
+            if all(numbers_equal(x, y) for x, y in zip(col, columns_b[q])):
+                qperm.append(q)
+                del unused[pos]
+                break
+        else:
+            return None
+    return tuple(qperm)
 
 
 def detect_cycle(
@@ -291,6 +331,7 @@ def detect_cycle(
     the final state is extrapolated by continuing the observed rotation
     (for two players this is simply the other player).
     """
+    _check_cycle_mode(game, mode)
     if movers is None:
         movers = infer_movers(profiles)
     acted = [mv for mv in movers if mv is not None]
@@ -301,7 +342,7 @@ def detect_cycle(
     full = list(movers) + [nxt]
     states = [(profiles[t], full[t]) for t in range(len(profiles))]
     for j in range(1, len(states)):
-        cyc = _find_cycle(game, states[: j + 1], mode)
+        cyc = _find_cycle(states[: j + 1], mode)
         if cyc is not None:
             return cyc
     return None

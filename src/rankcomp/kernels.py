@@ -15,7 +15,8 @@ profiles are re-verified exactly by the caller.
 ``logreg_fit`` solves a whole grid of regularization strengths on one
 training set at once.
 
-``benchmarks/bench_kernels.py`` times both kernels.
+``python3 perfbench/run.py --workload grid`` and ``--workload predict``
+time them end to end.
 """
 
 from __future__ import annotations

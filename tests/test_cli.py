@@ -116,6 +116,22 @@ class TestGameCommands:
         tail = json.loads(res.output.strip().splitlines()[-1])
         assert tail["outcome"] == "converged"
 
+    def test_dynamics_symmetric_mode_refuses_ten_players(self, runner, tmp_path):
+        prof = tmp_path / "p10.json"
+        prof.write_text(
+            json.dumps({"n": 10, "m": 2, "peak": "1/2",
+                        "strategies": [[f"{k}/20", "0"] for k in range(10)]}),
+            encoding="utf-8",
+        )
+        res = runner.invoke(main, ["game", "dynamics", "--init", str(prof), "--max-rounds", "3"])
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert 'cycle_mode="exact"' in json.loads(res.stderr)["error"]
+        res = invoke(runner, ["game", "dynamics", "--init", str(prof), "--max-rounds", "3",
+                              "--cycle-mode", "exact"])
+        assert res.exit_code == 0
+        assert json.loads(res.output.strip().splitlines()[-1])["outcome"] == "budget_exhausted"
+
     def test_dynamics_requires_exactly_one_input(self, runner):
         res = runner.invoke(main, ["game", "dynamics"])
         assert res.exit_code == 2
@@ -310,6 +326,20 @@ class TestJobsFlag:
         invoke(runner, ["predict", "build", "--log", str(log), "--out", str(b),
                         "--jobs", "2"])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, runner, tmp_path, raw):
+        log = tmp_path / "log.jsonl"
+        log.write_text("", encoding="utf-8")
+        commands = [
+            ["game", "oracle", "--n", "2", "--m", "2", "--peak", "1/2", "--grid", "2"],
+            ["predict", "build", "--log", str(log), "--out", str(tmp_path / "inst.csv")],
+        ]
+        for args in commands:
+            res = runner.invoke(main, args + ["--jobs", raw])
+            assert res.exit_code == 2, args
+            assert res.stdout == ""
+            assert "--jobs" in res.stderr
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
     def test_invalid_jobs_env_is_a_domain_error(self, runner, monkeypatch, tmp_path, raw):

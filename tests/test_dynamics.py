@@ -1,11 +1,19 @@
 from fractions import Fraction as F
 
 import pytest
+from symmetry_oracle import symmetric_match_oracle
 
-from rankcomp.dynamics import detect_cycle, infer_movers, run_dynamics, verify_trace
+from rankcomp.dynamics import (
+    SYMMETRY_BUDGET,
+    _symmetric_match,
+    detect_cycle,
+    infer_movers,
+    run_dynamics,
+    verify_trace,
+)
 from rankcomp.equilibria import construct_equilibrium, verify_nash
 from rankcomp.game import RankingGame, StrategyProfile
-from rankcomp.numeric import DomainError
+from rankcomp.numeric import CapacityError, DomainError
 
 GAME = RankingGame.tent(2, 3, F(1, 2))
 
@@ -58,6 +66,62 @@ class TestDetectCycle:
     def test_exact_mode_does_not_fire_on_the_reference_sequence(self):
         assert detect_cycle(GAME, SEQUENCE, mode="exact") is None
 
+    def test_padded_reference_sequence_at_m9_still_cycles(self):
+        # six zero-emphasis queries take m to 9, where 9! query relabelings
+        # used to exceed the budget and detection was silently skipped
+        padded = [
+            StrategyProfile([list(s.emphases) + [F(0)] * 6 for s in prof.strategies])
+            for prof in SEQUENCE
+        ]
+        cyc = detect_cycle(RankingGame.tent(2, 9, F(1, 2)), padded)
+        assert cyc is not None
+        assert (cyc.first, cyc.second) == (0, 3)
+        assert cyc.player_perm == (1, 0)
+        assert cyc.query_perm == (2, 1, 0, 3, 4, 5, 6, 7, 8)
+
+    def test_float_reference_sequence_symmetric_cycle(self):
+        floats = [
+            StrategyProfile([[float(e) for e in s.emphases] for s in prof.strategies])
+            for prof in SEQUENCE
+        ]
+        cyc = detect_cycle(RankingGame.tent(2, 3, 0.5), floats)
+        assert cyc is not None
+        assert (cyc.first, cyc.second, cyc.equivalence) == (0, 3, "symmetric")
+        assert cyc.player_perm == (1, 0)
+        assert cyc.query_perm == (2, 1, 0)
+
+    @pytest.mark.parametrize("to_float", [False, True], ids=["exact", "float"])
+    def test_column_matching_equals_permutation_search_oracle(self, rng, to_float):
+        levels = [F(0), F(1, 10), F(1, 5)]
+        matches = 0
+        for _ in range(600):
+            n, m = rng.randint(1, 4), rng.randint(1, 5)
+            rows_a = [[rng.choice(levels) for _ in range(m)] for _ in range(n)]
+            mover_a = rng.randrange(n)
+            if rng.random() < 0.6:
+                # a true relabeling of a, sometimes with one entry disturbed
+                pperm = rng.sample(range(n), n)
+                qperm = rng.sample(range(m), m)
+                rows_b = [[F(0)] * m for _ in range(n)]
+                for k in range(n):
+                    for q in range(m):
+                        rows_b[pperm[k]][qperm[q]] = rows_a[k][q]
+                mover_b = pperm[mover_a]
+                if rng.random() < 0.3:
+                    rows_b[rng.randrange(n)][rng.randrange(m)] = rng.choice(levels)
+            else:
+                rows_b = [[rng.choice(levels) for _ in range(m)] for _ in range(n)]
+                mover_b = rng.randrange(n)
+            if to_float:
+                rows_a = [[float(e) for e in row] for row in rows_a]
+                rows_b = [[float(e) for e in row] for row in rows_b]
+            a = (StrategyProfile(rows_a), mover_a)
+            b = (StrategyProfile(rows_b), mover_b)
+            expected = symmetric_match_oracle(a, b)
+            assert _symmetric_match(a, b) == expected, (a, b)
+            matches += expected is not None
+        assert matches > 300
+
     def test_constant_sequence_exact_cycle(self):
         g = RankingGame.tent(2, 2, F(1, 2))
         p = StrategyProfile([[F(1, 2), F(0)], [F(0), F(1, 2)]])
@@ -73,6 +137,34 @@ class TestDetectCycle:
             max_rounds=30,
         )
         assert trace.outcome.kind == "budget_exhausted"
+
+
+class TestCycleModeLimits:
+    def test_unknown_cycle_mode_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="symetric"):
+            detect_cycle(GAME, SEQUENCE, mode="symetric")
+        with pytest.raises(DomainError, match="Exact"):
+            run_dynamics(GAME, S0, cycle_mode="Exact")
+
+    def test_symmetric_mode_beyond_the_player_budget_is_refused(self):
+        # 9! = 362,880 player relabelings exceed the budget; 8! does not
+        assert 40_320 <= SYMMETRY_BUDGET < 362_880
+        g = RankingGame.tent(10, 2, F(1, 2))
+        start = StrategyProfile([[F(k, 20), F(0)] for k in range(10)])
+        with pytest.raises(CapacityError, match='cycle_mode="exact"'):
+            run_dynamics(g, start, max_rounds=3)
+        with pytest.raises(CapacityError, match='cycle_mode="exact"'):
+            detect_cycle(g, [start, start])
+        trace = run_dynamics(g, start, max_rounds=3, cycle_mode="exact")
+        assert len(trace.steps) == 3
+        cyc = detect_cycle(g, [start] * 3, movers=[None, None], mode="exact")
+        assert cyc is not None and cyc.equivalence == "exact"
+
+    def test_symmetric_mode_runs_at_nine_players(self):
+        g = RankingGame.tent(9, 1, F(1, 2))
+        a = StrategyProfile([[F(k, 10)] for k in range(9)])
+        b = a.replace(0, [F(9, 10)])
+        assert detect_cycle(g, [a, b]) is None
 
 
 class TestRunDynamics:
