@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -41,10 +42,13 @@ from .competition_log import (
 from .game import (
     RankingGame,
     load_profile,
+    load_sequence,
     profile_to_dict,
-    validate_profile,
+    read_json,
+    require_valid,
+    save_profile,
 )
-from .numeric import CapacityError, DomainError, number_to_json, parse_number
+from .numeric import CapacityError, DomainError, dual_view, float_view, parse_number
 from .prediction import (
     baselines as run_baselines,
     build_instances,
@@ -78,14 +82,14 @@ def _render_table(data, indent: str = "") -> str:
     if isinstance(data, dict):
         for key in sorted(data):
             value = data[key]
-            if isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list, tuple)):
                 lines.append(f"{indent}{key}:")
                 lines.append(_render_table(value, indent + "  "))
             else:
                 lines.append(f"{indent}{key}: {value}")
-    elif isinstance(data, list):
+    elif isinstance(data, (list, tuple)):
         for item in data:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, tuple)):
                 lines.append(_render_table(item, indent + "  "))
             else:
                 lines.append(f"{indent}- {item}")
@@ -115,14 +119,17 @@ def _schema_option(schema: dict):
     return decorator
 
 
-def _fail(message: str):
-    click.echo(dump_json({"error": message}), err=True)
-    sys.exit(1)
-
-
 def _env_seed():
     raw = os.environ.get("RANKCOMP_SEED")
     return int(raw) if raw else None
+
+
+def _require_seed(seed):
+    if seed is None:
+        seed = _env_seed()
+    if seed is None:
+        raise click.UsageError("--seed is required (or set RANKCOMP_SEED)")
+    return seed
 
 
 def _env_jobs():
@@ -138,12 +145,21 @@ def _env_jobs():
     return jobs
 
 
+_log_option = click.option("--log", "log_path", type=click.Path(exists=True), required=True)
+
+_stopwords_option = click.option(
+    "--stopwords", "stops", type=click.Path(exists=True), default=None,
+    callback=lambda ctx, param, path: load_stopwords(path) if path else DEFAULT_STOPWORDS,
+)
+
+
 class _Cli(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
         except (DomainError, CapacityError, FileNotFoundError) as exc:
-            _fail(str(exc))
+            click.echo(dump_json({"error": str(exc)}), err=True)
+            sys.exit(1)
 
 
 @click.group(cls=_Cli)
@@ -173,12 +189,8 @@ def game_exists(ctx, n, m, peak):
     verdict = eq_mod.exists_equilibrium(n, m, parse_number(peak))
     _emit(
         ctx,
-        {
-            "exists": verdict.exists,
-            "threshold": float(verdict.threshold),
-            "threshold_exact": number_to_json(verdict.threshold),
-            "regime": verdict.regime,
-        },
+        {"exists": verdict.exists, "regime": verdict.regime,
+         **dual_view("threshold", verdict.threshold)},
     )
 
 
@@ -188,8 +200,9 @@ def game_exists(ctx, n, m, peak):
 @click.option("--peak", required=True)
 @click.option("--check", is_flag=True, help="Verify the construction before printing.")
 @click.option("--out", type=click.Path(), default=None, help="Also write the profile file.")
-@_schema_option({"n": "int", "m": "int", "peak": "float", "strategies": "[[float]]",
-                 "strategies_exact": "[[str|int]]", "verified": "bool?"})
+@_schema_option({"n": "int", "m": "int", "peak": "float", "peak_exact": "str|int",
+                 "strategies": "[[float]]", "strategies_exact": "[[str|int]]",
+                 "verified": "bool?"})
 @click.pass_context
 def game_construct(ctx, n, m, peak, check, out):
     g = RankingGame.tent(n, m, parse_number(peak))
@@ -198,23 +211,20 @@ def game_construct(ctx, n, m, peak, check, out):
     if check:
         data["verified"] = eq_mod.verify_nash(g, profile).is_nash
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(dump_json(profile_to_dict(g, profile)) + "\n")
+        save_profile(out, g, profile)
     _emit(ctx, data)
 
 
-def _nash_report_dict(game_obj, report):
+def _nash_report_dict(report):
     return {
         "is_nash": report.is_nash,
         "per_player": [
             {
                 "player": pd.player,
-                "current": float(pd.current),
-                "current_exact": number_to_json(pd.current),
-                "attained": float(pd.attained),
-                "attained_exact": number_to_json(pd.attained),
+                **dual_view("current", pd.current),
+                **dual_view("attained", pd.attained),
                 "improving_witness": (
-                    [float(e) for e in pd.improving_witness.emphases]
+                    float_view(pd.improving_witness.emphases)
                     if pd.improving_witness is not None
                     else None
                 ),
@@ -227,21 +237,21 @@ def _nash_report_dict(game_obj, report):
 @game.command("verify")
 @click.option("--profile", "profile_path", type=click.Path(exists=True), required=True)
 @_schema_option({"is_nash": "bool", "per_player": [{"player": "int", "current": "float",
-                 "attained": "float", "improving_witness": "[float]|null"}]})
+                 "current_exact": "str|int", "attained": "float", "attained_exact": "str|int",
+                 "improving_witness": "[float]|null"}]})
 @click.pass_context
 def game_verify(ctx, profile_path):
     g, profile = load_profile(profile_path)
-    report = validate_profile(g, profile)
-    if not report.ok:
-        _fail("invalid profile: " + "; ".join(report.violations))
-    _emit(ctx, _nash_report_dict(g, eq_mod.verify_nash(g, profile)))
+    require_valid(g, profile)
+    _emit(ctx, _nash_report_dict(eq_mod.verify_nash(g, profile)))
 
 
 @game.command("best-response")
 @click.option("--profile", "profile_path", type=click.Path(exists=True), required=True)
 @click.option("--player", type=int, required=True)
 @click.option("--epsilon", default="1/1000")
-@_schema_option({"player": "int", "sup_value": "float", "attained_value": "float",
+@_schema_option({"player": "int", "sup_value": "float", "sup_value_exact": "str|int",
+                 "attained_value": "float", "attained_value_exact": "str|int",
                  "plan": {"solo": "[int]", "tie": "[int]"}, "witness": "[float]",
                  "witness_exact": "[str|int]", "witness_utility": "float", "epsilon_used": "float"})
 @click.pass_context
@@ -253,46 +263,21 @@ def game_best_response(ctx, profile_path, player, epsilon):
         ctx,
         {
             "player": player,
-            "sup_value": float(res.sup_value),
-            "sup_value_exact": number_to_json(res.sup_value),
-            "attained_value": float(res.attained_value),
-            "attained_value_exact": number_to_json(res.attained_value),
+            **dual_view("sup_value", res.sup_value),
+            **dual_view("attained_value", res.attained_value),
             "plan": {
                 "solo": sorted(wit.plan.solo_set),
                 "tie": sorted(wit.plan.tie_set),
             },
-            "witness": [float(e) for e in wit.strategy.emphases],
-            "witness_exact": [number_to_json(e) for e in wit.strategy.emphases],
+            **dual_view("witness", wit.strategy.emphases),
             "witness_utility": float(wit.value),
             "epsilon_used": float(wit.epsilon_used),
         },
     )
 
 
-def _trace_line(step):
-    return {
-        "step": step.index,
-        "mover": step.mover,
-        "moved": step.moved,
-        "value": float(step.value),
-        "value_exact": number_to_json(step.value),
-        "profile": [[float(e) for e in v.emphases] for v in step.profile.strategies],
-        "profile_exact": [
-            [number_to_json(e) for e in v.emphases] for v in step.profile.strategies
-        ],
-    }
-
-
-def _cycle_dict(cyc):
-    if cyc is None:
-        return None
-    return {
-        "first": cyc.first,
-        "second": cyc.second,
-        "equivalence": cyc.equivalence,
-        "player_perm": list(cyc.player_perm) if cyc.player_perm else None,
-        "query_perm": list(cyc.query_perm) if cyc.query_perm else None,
-    }
+_CYCLE_SCHEMA = {"first": "int", "second": "int", "equivalence": "str",
+                 "player_perm": "[int]|null", "query_perm": "[int]|null"}
 
 
 @game.command("dynamics")
@@ -305,8 +290,16 @@ def _cycle_dict(cyc):
 @click.option("--max-rounds", type=int, default=100)
 @click.option("--epsilon", default="1/1000")
 @click.option("--cycle-mode", type=click.Choice(["symmetric", "exact"]), default="symmetric")
-@_schema_option({"jsonl": "one step object per line, then an outcome object; replay mode"
-                " emits step reports and a cycle object"})
+@_schema_option({
+    "jsonl": "one step object per line, then an outcome object; replay mode"
+             " emits step reports and a cycle object",
+    "step": {"step": "int", "mover": "int", "moved": "bool", "value": "float",
+             "value_exact": "str|int", "profile": "[[float]]", "profile_exact": "[[str|int]]"},
+    "outcome": {"outcome": "str", "round": "int|null", "cycle": _CYCLE_SCHEMA},
+    "replay_step": {"step": "int", "mover": "int|null", "value": "float",
+                    "value_exact": "str|int", "optimal_value": "float", "optimal": "bool"},
+    "replay_outcome": {"cycle": _CYCLE_SCHEMA, "steps": "int"},
+})
 @click.pass_context
 def game_dynamics(ctx, init_path, replay_path, order, seed, max_rounds, epsilon, cycle_mode):
     if (init_path is None) == (replay_path is None):
@@ -314,32 +307,15 @@ def game_dynamics(ctx, init_path, replay_path, order, seed, max_rounds, epsilon,
     if seed is None:
         seed = _env_seed()
     if replay_path:
-        with open(replay_path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        g = RankingGame.tent(int(data["n"]), int(data["m"]),
-                             parse_number(data.get("peak_exact", data["peak"])))
-        from .game import StrategyProfile
-
-        profiles = [
-            StrategyProfile([[parse_number(e) for e in row] for row in prof])
-            for prof in data["profiles"]
-        ]
+        g, profiles = load_sequence(replay_path)
         reports = dyn_mod.verify_trace(g, profiles)
         cyc = dyn_mod.detect_cycle(g, profiles, mode=cycle_mode)
         for rep in reports:
-            click.echo(
-                dump_json(
-                    {
-                        "step": rep.index,
-                        "mover": rep.mover,
-                        "value": float(rep.achieved),
-                        "value_exact": number_to_json(rep.achieved),
-                        "optimal_value": float(rep.optimal_value),
-                        "optimal": rep.optimal,
-                    }
-                )
-            )
-        click.echo(dump_json({"cycle": _cycle_dict(cyc), "steps": len(reports)}))
+            click.echo(dump_json({"step": rep.index, "mover": rep.mover,
+                                  **dual_view("value", rep.achieved),
+                                  "optimal_value": float(rep.optimal_value),
+                                  "optimal": rep.optimal}))
+        click.echo(dump_json({"cycle": asdict(cyc) if cyc else None, "steps": len(reports)}))
         return
     g, initial = load_profile(init_path)
     trace = dyn_mod.run_dynamics(
@@ -352,16 +328,12 @@ def game_dynamics(ctx, init_path, replay_path, order, seed, max_rounds, epsilon,
         cycle_mode=cycle_mode,
     )
     for step in trace.steps:
-        click.echo(dump_json(_trace_line(step)))
-    click.echo(
-        dump_json(
-            {
-                "outcome": trace.outcome.kind,
-                "round": trace.outcome.round,
-                "cycle": _cycle_dict(trace.outcome.cycle),
-            }
-        )
-    )
+        rows = [v.emphases for v in step.profile.strategies]
+        click.echo(dump_json({"step": step.index, "mover": step.mover, "moved": step.moved,
+                              **dual_view("value", step.value), **dual_view("profile", rows)}))
+    cyc = trace.outcome.cycle
+    click.echo(dump_json({"outcome": trace.outcome.kind, "round": trace.outcome.round,
+                          "cycle": asdict(cyc) if cyc else None}))
 
 
 @game.command("oracle")
@@ -393,14 +365,8 @@ def game_oracle(ctx, n, m, peak, g_res, mode, jobs, budget, no_symmetry):
             "profiles_checked": result.profiles_checked,
             "strategy_count": result.strategy_count,
             "count": len(result.equilibria),
-            "equilibria": [
-                [[float(e) for e in v.emphases] for v in prof.strategies]
-                for prof in result.equilibria
-            ],
-            "equilibria_exact": [
-                [[number_to_json(e) for e in v.emphases] for v in prof.strategies]
-                for prof in result.equilibria
-            ],
+            **dual_view("equilibria", [[v.emphases for v in prof.strategies]
+                                       for prof in result.equilibria]),
             "notes": list(result.notes),
         },
     )
@@ -415,17 +381,16 @@ def features():
 
 
 @features.command("extract")
-@click.option("--log", "log_path", type=click.Path(exists=True), required=True)
+@_log_option
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--stopwords", "stopwords_path", type=click.Path(exists=True), default=None)
+@_stopwords_option
 @_schema_option({"rows": "int", "out": "str", "columns": "[str]"})
 @click.pass_context
-def features_extract(ctx, log_path, out, stopwords_path):
+def features_extract(ctx, log_path, out, stops):
     """One CSV row of the eight features per document x query."""
     import csv
 
     log = load_log(log_path)
-    stops = load_stopwords(stopwords_path) if stopwords_path else DEFAULT_STOPWORDS
     columns = ["topic_id", "round_index", "query_index", "publisher"] + list(TEXT_FEATURE_NAMES)
     rows = 0
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -447,11 +412,11 @@ def features_extract(ctx, log_path, out, stopwords_path):
 @click.pass_context
 def features_rbo(ctx, path_a, path_b, persistence):
     """RBO between two JSON list files."""
-    with open(path_a, "r", encoding="utf-8") as fh:
-        a = json.load(fh)
-    with open(path_b, "r", encoding="utf-8") as fh:
-        b = json.load(fh)
-    _emit(ctx, {"rbo": rbo(a, b, persistence), "persistence": persistence})
+    rankings = [read_json(path) for path in (path_a, path_b)]
+    for path, items in zip((path_a, path_b), rankings):
+        if not isinstance(items, list) or any(isinstance(e, (list, dict)) for e in items):
+            raise DomainError(f"{path}: a ranking file must hold a JSON list of ids")
+    _emit(ctx, {"rbo": rbo(*rankings, persistence), "persistence": persistence})
 
 
 # ------------------------------------------------------------------- report
@@ -463,30 +428,17 @@ def report():
 
 
 @report.command("win-spread")
-@click.option("--log", "log_path", type=click.Path(exists=True), required=True)
+@_log_option
 @_schema_option({"rows": [{"wins": "int", "doc_percent": "float",
                  "mean_nonwon_rank": "float|null"}], "observations": "int"})
 @click.pass_context
 def report_win_spread_cmd(ctx, log_path):
     data = report_win_spread(load_log(log_path))
-    _emit(
-        ctx,
-        {
-            "rows": [
-                {
-                    "wins": r.wins,
-                    "doc_percent": r.doc_percent,
-                    "mean_nonwon_rank": r.mean_nonwon_rank,
-                }
-                for r in data["rows"]
-            ],
-            "observations": data["observations"],
-        },
-    )
+    _emit(ctx, {"rows": [asdict(r) for r in data["rows"]], "observations": data["observations"]})
 
 
 @report.command("rbo")
-@click.option("--log", "log_path", type=click.Path(exists=True), required=True)
+@_log_option
 @click.option("--p", "persistence", type=float, default=0.9)
 @_schema_option({"per_round": {"<round>": "float"}, "persistence": "float"})
 @click.pass_context
@@ -499,12 +451,11 @@ def report_rbo_cmd(ctx, log_path, persistence):
 
 
 @report.command("trajectories")
-@click.option("--log", "log_path", type=click.Path(exists=True), required=True)
-@click.option("--stopwords", "stopwords_path", type=click.Path(exists=True), default=None)
+@_log_option
+@_stopwords_option
 @_schema_option({"per_round": {"<round>": {"winner|loser": {"<feature>": "float"}}}})
 @click.pass_context
-def report_trajectories_cmd(ctx, log_path, stopwords_path):
-    stops = load_stopwords(stopwords_path) if stopwords_path else DEFAULT_STOPWORDS
+def report_trajectories_cmd(ctx, log_path, stops):
     data = report_feature_trajectories(load_log(log_path), stops)
     _emit(ctx, {"per_round": {str(k): v for k, v in data.items()}})
 
@@ -524,15 +475,8 @@ def simulate():
 @_schema_option({"topics": "int", "rounds": "int", "publishers": "int", "out": "str"})
 @click.pass_context
 def simulate_competition(ctx, config_path, seed, out):
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        raise click.UsageError("--seed is required (or set RANKCOMP_SEED)")
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            config = SynthesisConfig.from_dict(json.load(fh))
-    else:
-        config = SynthesisConfig()
+    seed = _require_seed(seed)
+    config = SynthesisConfig.from_dict(read_json(config_path) if config_path else {})
     log = synthesize(config, seed)
     save_log(out, log)
     _emit(
@@ -555,19 +499,18 @@ def predict():
 
 
 @predict.command("build")
-@click.option("--log", "log_path", type=click.Path(exists=True), required=True)
+@_log_option
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--stopwords", "stopwords_path", type=click.Path(exists=True), default=None)
+@_stopwords_option
 @click.option("--normalize/--no-normalize", default=True,
               help="Apply per-query min-max normalization (default on).")
 @click.option("--jobs", type=click.IntRange(min=1), default=None)
 @_schema_option({"instances": "int", "groups": "int", "out": "str"})
 @click.pass_context
-def predict_build(ctx, log_path, out, stopwords_path, normalize, jobs):
+def predict_build(ctx, log_path, out, stops, normalize, jobs):
     if jobs is None:
         jobs = _env_jobs()
     log = load_log(log_path)
-    stops = load_stopwords(stopwords_path) if stopwords_path else DEFAULT_STOPWORDS
     insts = build_instances_parallel(log, filter_for_prediction(log), stops, jobs=jobs)
     if normalize:
         insts = normalize_per_query(insts)
@@ -583,7 +526,8 @@ def predict_build(ctx, log_path, out, stopwords_path, normalize, jobs):
 @click.option("--sections", default=None,
               help="Comma-separated feature sections to keep (ablation).")
 @_schema_option({"folds": [{"test_round": "int", "selected_param": "float", "acc": "float",
-                 "f1": "float"}], "mean_acc": "float", "mean_f1": "float"})
+                 "f1": "float"}], "mean_acc": "float", "mean_f1": "float",
+                 "params": "[float]"})
 @click.pass_context
 def predict_cv(ctx, instances_path, params, seed, sections):
     if seed is None:
@@ -592,39 +536,18 @@ def predict_cv(ctx, instances_path, params, seed, sections):
     if sections:
         insts = mask_sections(insts, [s.strip() for s in sections.split(",") if s.strip()])
     grid = tuple(float(v) for v in params.split(","))
-    report = cross_validate(insts, grid, seed=seed)
-    _emit(
-        ctx,
-        {
-            "folds": [
-                {
-                    "test_round": f.test_round,
-                    "selected_param": f.selected_param,
-                    "acc": f.acc,
-                    "f1": f.f1,
-                }
-                for f in report.folds
-            ],
-            "mean_acc": report.mean_acc,
-            "mean_f1": report.mean_f1,
-            "params": list(report.params),
-        },
-    )
+    _emit(ctx, asdict(cross_validate(insts, grid, seed=seed)))
 
 
 @predict.command("baselines")
-@click.option("--log", "log_path", type=click.Path(exists=True), required=True)
+@_log_option
 @click.option("--seed", type=int, default=None)
-@click.option("--stopwords", "stopwords_path", type=click.Path(exists=True), default=None)
+@_stopwords_option
 @_schema_option({"<baseline>": {"acc": "float", "f1": "float"}})
 @click.pass_context
-def predict_baselines(ctx, log_path, seed, stopwords_path):
-    if seed is None:
-        seed = _env_seed()
-    if seed is None:
-        raise click.UsageError("--seed is required (or set RANKCOMP_SEED)")
+def predict_baselines(ctx, log_path, seed, stops):
+    seed = _require_seed(seed)
     log = load_log(log_path)
-    stops = load_stopwords(stopwords_path) if stopwords_path else DEFAULT_STOPWORDS
     insts = normalize_per_query(build_instances(log, filter_for_prediction(log), stops))
     results = {}
     for name, preds in run_baselines(log, insts, seed).items():

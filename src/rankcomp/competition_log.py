@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
 
 from .numeric import DomainError
@@ -165,8 +165,22 @@ def _history_from_dict(data: dict, where: str) -> GameHistory:
             queries=tuple(data["queries"]),
             rounds=rounds,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise LogFormatError(f"{where}: malformed history ({exc})") from exc
+    if not all(isinstance(q, str) for q in history.queries):
+        raise LogFormatError(f"{where}: topic {history.topic_id!r} has a non-string query")
+    for rnd in history.rounds:
+        for pub, (text, _) in rnd.documents.items():
+            if not isinstance(text, str):
+                raise LogFormatError(
+                    f"{where}: topic {history.topic_id!r} round {rnd.round_index} document "
+                    f"{pub!r} text is not a string"
+                )
+        if not all(isinstance(pub, str) for ranking in rnd.rankings for pub in ranking):
+            raise LogFormatError(
+                f"{where}: topic {history.topic_id!r} round {rnd.round_index} ranks a "
+                "publisher that is not a string"
+            )
     _validate_history(history, where)
     return history
 
@@ -192,6 +206,8 @@ def load_log(path) -> CompetitionLog:
                 data = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise LogFormatError(f"line {lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(data, dict):
+                raise LogFormatError(f"line {lineno}: expected a JSON object")
             if "_meta" in data:
                 if lineno != 1:
                     raise LogFormatError(f"line {lineno}: _meta only allowed on line 1")
@@ -354,6 +370,16 @@ def report_feature_trajectories(
 
 # --- synthetic generator ----------------------------------------------------
 
+#: publisher strategies the generator knows
+STRATEGIES = ("mimic-winner", "static", "random-edit")
+
+#: vocabulary words each topic draws its queries and on-topic text from
+TOPIC_POOL_SIZE = 24
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class SynthesisConfig:
@@ -370,24 +396,45 @@ class SynthesisConfig:
     doc_length: int = 60
     scorer_weights: tuple[tuple[str, float], ...] = (("bm25", 1.0), ("tf", 0.25))
 
+    def __post_init__(self):
+        minima = {"topics": 1, "rounds": 1, "queries_per_topic": 1, "publishers": 1,
+                  "vocabulary_size": TOPIC_POOL_SIZE, "doc_length": 1}
+        for name, least in minima.items():
+            value = getattr(self, name)
+            if not _is_int(value) or value < least:
+                raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name, count in self.strategy_mix:
+            if name not in STRATEGIES:
+                raise DomainError(f"unknown strategy {name!r}; expected one of {STRATEGIES}")
+            if not _is_int(count) or count < 0:
+                raise DomainError(
+                    f"strategy {name!r} count must be an integer >= 0, got {count!r}"
+                )
+        for name, weight in self.scorer_weights:
+            if name not in FEATURE_NAMES:
+                raise DomainError(
+                    f"unknown scorer feature {name!r}; expected one of {FEATURE_NAMES}"
+                )
+            if not isinstance(weight, (int, float)) or isinstance(weight, bool):
+                raise DomainError(f"scorer weight for {name!r} must be a number, got {weight!r}")
+
     @classmethod
     def from_dict(cls, data: dict) -> "SynthesisConfig":
-        kwargs = {}
-        for key in (
-            "topics",
-            "rounds",
-            "queries_per_topic",
-            "publishers",
-            "vocabulary_size",
-            "doc_length",
-        ):
-            if key in data:
-                kwargs[key] = int(data[key])
-        if "strategy_mix" in data:
-            kwargs["strategy_mix"] = tuple((str(k), int(v)) for k, v in data["strategy_mix"].items())
-        if "scorer_weights" in data:
+        """Config from its JSON object; unknown keys and wrong types are DomainErrors."""
+        if not isinstance(data, dict):
+            raise DomainError("synthesis config must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise DomainError(f"unknown synthesis config keys {unknown}")
+        kwargs = dict(data)
+        for key in ("strategy_mix", "scorer_weights"):
+            if key in kwargs:
+                if not isinstance(kwargs[key], dict):
+                    raise DomainError(f"{key} must be a JSON object")
+                kwargs[key] = tuple(kwargs[key].items())
+        if "scorer_weights" in kwargs:
             kwargs["scorer_weights"] = tuple(
-                (str(k), float(v)) for k, v in data["scorer_weights"].items()
+                (k, float(v) if _is_int(v) else v) for k, v in kwargs["scorer_weights"]
             )
         return cls(**kwargs)
 
@@ -408,8 +455,6 @@ def synthesize(config: SynthesisConfig, seed: int) -> CompetitionLog:
     (weighted feature sum) with publisher-id tie-breaking, so logs are
     byte-reproducible for a given seed.
     """
-    if config.topics < 1 or config.rounds < 1 or config.publishers < 1:
-        raise DomainError("topics, rounds, and publishers must all be >= 1")
     rng = random.Random(seed)
     vocab = [f"w{i:03d}" for i in range(config.vocabulary_size)]
     strategies: list[str] = []
@@ -424,7 +469,7 @@ def synthesize(config: SynthesisConfig, seed: int) -> CompetitionLog:
     topics = []
     for t in range(config.topics):
         topic_id = f"T{t:03d}"
-        topic_pool = rng.sample(vocab, 24)
+        topic_pool = rng.sample(vocab, TOPIC_POOL_SIZE)
         queries = []
         for q in range(config.queries_per_topic):
             queries.append(" ".join(rng.sample(topic_pool, 2)))

@@ -266,7 +266,8 @@ def _find_cycle(states, mode) -> Optional[CycleInfo]:
         profile_i, mover_i = states[i]
         if mover_i == last_mover and _profiles_equal(profile_i, last_profile):
             return CycleInfo(first=i, second=j, equivalence="exact")
-        if mode == "symmetric":
+        # a state after a stay has no known mover, so it matches only exactly
+        if mode == "symmetric" and mover_i is not None and last_mover is not None:
             found = _symmetric_match(states[i], states[-1])
             if found is not None:
                 pperm, qperm = found

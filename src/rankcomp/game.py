@@ -22,7 +22,7 @@ from .numeric import (
     Number,
     SIMPLEX_TOL,
     all_exact,
-    number_to_json,
+    dual_view,
     numbers_equal,
     parse_number,
 )
@@ -290,41 +290,88 @@ def require_valid(game: RankingGame, profile: StrategyProfile) -> None:
 #
 # Numbers may be JSON numbers or strings ("1/3", "0.45"); both are read
 # exactly.  save_profile emits a float view plus an exact string view so
-# downstream verification stays rational.
+# downstream verification stays rational.  A sequence file (dynamics
+# replay) carries the same game fields plus "profiles", a list of
+# strategy matrices.
+
+
+def read_json(path):
+    """Parse a JSON file; malformed content is a DomainError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise DomainError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def profile_to_dict(game: RankingGame, profile: StrategyProfile) -> dict:
     return {
         "n": game.n,
         "m": game.m,
-        "peak": float(game.peak),
-        "peak_exact": number_to_json(game.peak),
-        "strategies": [[float(e) for e in v.emphases] for v in profile.strategies],
-        "strategies_exact": [
-            [number_to_json(e) for e in v.emphases] for v in profile.strategies
-        ],
+        **dual_view("peak", game.peak),
+        **dual_view("strategies", [v.emphases for v in profile.strategies]),
     }
 
 
-def profile_from_dict(data: dict) -> tuple[RankingGame, StrategyProfile]:
+def _field(data, key: str, kind: str):
+    if not isinstance(data, dict):
+        raise DomainError(f"{kind} file must hold a JSON object")
     try:
-        n = int(data["n"])
-        m = int(data["m"])
-        peak = parse_number(data.get("peak_exact", data["peak"]))
-        raw = data.get("strategies_exact", data["strategies"])
-    except KeyError as exc:
-        raise DomainError(f"profile file missing field {exc}") from exc
-    game = RankingGame.tent(n, m, peak)
-    profile = StrategyProfile([[parse_number(e) for e in row] for row in raw])
-    return game, profile
+        return data[key]
+    except KeyError:
+        raise DomainError(f"{kind} file missing field {key!r}") from None
+
+
+def _game_from_dict(data, kind: str) -> RankingGame:
+    n, m = _field(data, "n", kind), _field(data, "m", kind)
+    try:
+        n, m = int(n), int(m)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{kind} file: n and m must be integers ({exc})") from None
+    peak = data["peak_exact"] if "peak_exact" in data else _field(data, "peak", kind)
+    return RankingGame.tent(n, m, parse_number(peak))
+
+
+def _profile_from_rows(rows, kind: str) -> StrategyProfile:
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in rows):
+        raise DomainError(f"{kind} file: a strategy profile must be a list of number lists")
+    return StrategyProfile([[parse_number(e) for e in row] for row in rows])
+
+
+def profile_from_dict(data: dict) -> tuple[RankingGame, StrategyProfile]:
+    game = _game_from_dict(data, "profile")
+    if "strategies_exact" in data:
+        rows = data["strategies_exact"]
+    else:
+        rows = _field(data, "strategies", "profile")
+    return game, _profile_from_rows(rows, "profile")
+
+
+def sequence_from_dict(data: dict) -> tuple[RankingGame, list[StrategyProfile]]:
+    game = _game_from_dict(data, "sequence")
+    profiles = _field(data, "profiles", "sequence")
+    if not isinstance(profiles, list):
+        raise DomainError("sequence file: profiles must be a list of strategy profiles")
+    return game, [_profile_from_rows(rows, "sequence") for rows in profiles]
+
+
+def _load(path, parse):
+    data = read_json(path)
+    try:
+        return parse(data)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
 
 
 def load_profile(path) -> tuple[RankingGame, StrategyProfile]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return profile_from_dict(json.load(fh))
+    return _load(path, profile_from_dict)
+
+
+def load_sequence(path) -> tuple[RankingGame, list[StrategyProfile]]:
+    return _load(path, sequence_from_dict)
 
 
 def save_profile(path, game: RankingGame, profile: StrategyProfile) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(profile_to_dict(game, profile), fh, sort_keys=True)
+        fh.write(json.dumps(profile_to_dict(game, profile), sort_keys=True, separators=(",", ":")))
         fh.write("\n")

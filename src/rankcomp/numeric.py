@@ -88,6 +88,22 @@ def number_to_json(value: Number):
     return value
 
 
+def _map_nested(value, leaf):
+    if isinstance(value, (list, tuple)):
+        return [_map_nested(v, leaf) for v in value]
+    return leaf(value)
+
+
+def float_view(value):
+    """A number, or nested sequences of numbers, as floats in lists."""
+    return _map_nested(value, float)
+
+
+def dual_view(key: str, value) -> dict:
+    """``{key: float view, key + "_exact": number_to_json view}`` for JSON output."""
+    return {key: float_view(value), key + "_exact": _map_nested(value, number_to_json)}
+
+
 def as_float(value: Number) -> float:
     return float(value)
 

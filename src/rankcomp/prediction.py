@@ -576,24 +576,32 @@ def instances_to_csv(path, instances: Sequence[PredictionInstance]) -> None:
 
 
 def instances_from_csv(path) -> list[PredictionInstance]:
+    """Read an instance CSV; a malformed row is a DomainError naming its line."""
     import csv
 
     out = []
+    expected = list(CSV_ID_COLUMNS) + list(FEATURE_NAMES) + ["label"]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        expected = list(CSV_ID_COLUMNS) + list(FEATURE_NAMES) + ["label"]
-        if header != expected:
+        if next(reader, None) != expected:
             raise DomainError("instance CSV header does not match the 27-feature layout")
         for row in reader:
-            out.append(
-                PredictionInstance(
-                    topic_id=row[0],
-                    query_index=int(row[1]),
-                    round_index=int(row[2]),
-                    publisher=row[3],
-                    features=tuple(float(v) for v in row[4 : 4 + FEATURE_DIM]),
-                    label=row[-1] == "1",
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(expected):
+                raise DomainError(f"{where}: {len(row)} columns, expected {len(expected)}")
+            if row[-1] not in ("0", "1"):
+                raise DomainError(f"{where}: label {row[-1]!r} is not 0 or 1")
+            try:
+                out.append(
+                    PredictionInstance(
+                        topic_id=row[0],
+                        query_index=int(row[1]),
+                        round_index=int(row[2]),
+                        publisher=row[3],
+                        features=tuple(float(v) for v in row[4 : 4 + FEATURE_DIM]),
+                        label=row[-1] == "1",
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise DomainError(f"{where}: {exc}") from None
     return out

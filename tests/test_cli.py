@@ -355,3 +355,277 @@ class TestJobsFlag:
             assert res.exit_code == 1, args
             assert res.stdout == ""
             assert "RANKCOMP_JOBS" in json.loads(res.stderr)["error"]
+
+
+# the motivating non-convergence run (peak 1/2): player 1, 0, 1 reply in turn
+REFERENCE_PROFILES = [
+    [["0.3", "0.4", "0"], ["0.2", "0.3", "0.5"]],
+    [["0.3", "0.4", "0"], ["0.4", "0.5", "0.1"]],
+    [["0.5", "0.3", "0.2"], ["0.4", "0.5", "0.1"]],
+    [["0.5", "0.3", "0.2"], ["0", "0.4", "0.3"]],
+]
+
+
+def write_json(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def json_error(res):
+    """The error message of a domain-error exit; fails on a traceback."""
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # not an uncaught exception
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["game", "verify", "--profile", "BAD"],
+            ["game", "dynamics", "--init", "BAD"],
+            ["game", "dynamics", "--replay", "BAD"],
+            ["simulate", "competition", "--config", "BAD", "--seed", "1", "--out", "OUT"],
+            ["features", "rbo", "--a", "BAD", "--b", "GOOD"],
+            ["features", "rbo", "--a", "GOOD", "--b", "BAD"],
+        ],
+    )
+    def test_invalid_json_is_a_one_line_error_naming_the_file(self, runner, tmp_path, args):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{bad", encoding="utf-8")
+        good = write_json(tmp_path / "good.json", [1, 2])
+        paths = {"BAD": str(bad), "GOOD": str(good), "OUT": str(tmp_path / "out.jsonl")}
+        res = runner.invoke(main, [paths.get(a, a) for a in args])
+        assert json_error(res).startswith(f"{bad}: invalid JSON (")
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("content", ["5", '{"a": 1}', "[[1], [2]]"])
+    def test_ranking_file_that_is_not_a_list_of_ids(self, runner, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content, encoding="utf-8")
+        good = write_json(tmp_path / "good.json", [1, 2])
+        res = runner.invoke(main, ["features", "rbo", "--a", str(good), "--b", str(bad)])
+        assert json_error(res) == f"{bad}: a ranking file must hold a JSON list of ids"
+
+    def test_replay_without_profiles(self, runner, tmp_path):
+        seq = write_json(tmp_path / "seq.json", {"n": 2, "m": 3, "peak": 0.5})
+        res = runner.invoke(main, ["game", "dynamics", "--replay", str(seq)])
+        assert json_error(res) == f"{seq}: sequence file missing field 'profiles'"
+
+    def test_profile_without_strategies(self, runner, tmp_path):
+        prof = write_json(tmp_path / "p.json", {"n": 2, "m": 3, "peak": 0.5})
+        res = runner.invoke(main, ["game", "best-response", "--profile", str(prof),
+                                   "--player", "0"])
+        assert json_error(res) == f"{prof}: profile file missing field 'strategies'"
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"topicz": 4}, "unknown synthesis config keys ['topicz']"),
+            ({"strategy_mix": {"mimic_winner": 5}}, "unknown strategy 'mimic_winner'"),
+            ({"scorer_weights": {"bm26": 1}}, "unknown scorer feature 'bm26'"),
+            ({"topics": "x"}, "topics must be an integer >= 1, got 'x'"),
+            ({"vocabulary_size": 10}, "vocabulary_size must be an integer >= 24, got 10"),
+            ({"queries_per_topic": 0}, "queries_per_topic must be an integer >= 1, got 0"),
+        ],
+    )
+    def test_invalid_synthesis_config(self, runner, tmp_path, config, message):
+        cfg = write_json(tmp_path / "cfg.json", config)
+        res = runner.invoke(main, ["simulate", "competition", "--config", str(cfg),
+                                   "--seed", "1", "--out", str(tmp_path / "log.jsonl")])
+        assert message in json_error(res)
+
+    def test_malformed_instance_row(self, runner, tmp_path):
+        from rankcomp.prediction import CSV_ID_COLUMNS, FEATURE_NAMES
+
+        inst = tmp_path / "inst.csv"
+        header = ",".join(list(CSV_ID_COLUMNS) + list(FEATURE_NAMES) + ["label"])
+        inst.write_text(header + "\nT0,0,3,p1," + ",".join(["0.5"] * 26) + ",x,1\n",
+                        encoding="utf-8")
+        res = runner.invoke(main, ["predict", "cv", "--instances", str(inst), "--seed", "1"])
+        assert json_error(res).startswith(f"{inst}: line 2: could not convert")
+
+    def test_non_string_document_text(self, runner, tmp_path):
+        log = tmp_path / "log.jsonl"
+        write_json(log, {"topic_id": "T0", "queries": ["q"], "rounds": [
+            {"round_index": 1, "documents": {"a": {"text": 7, "is_bot": False}},
+             "rankings": [["a"]]}]})
+        res = runner.invoke(main, ["report", "trajectories", "--log", str(log)])
+        assert json_error(res) == "line 1: topic 'T0' round 1 document 'a' text is not a string"
+
+
+class TestProfileFiles:
+    def test_construct_out_writes_what_save_profile_writes(self, runner, tmp_path):
+        from rankcomp.equilibria import construct_equilibrium
+        from rankcomp.game import RankingGame, save_profile
+
+        out, ref = tmp_path / "eq.json", tmp_path / "ref.json"
+        res = invoke(runner, ["game", "construct", "--n", "3", "--m", "4", "--peak", "1/4",
+                              "--out", str(out)])
+        assert res.exit_code == 0
+        g = RankingGame.tent(3, 4, "1/4")
+        save_profile(ref, g, construct_equilibrium(g))
+        assert out.read_bytes() == ref.read_bytes()
+        assert out.read_text(encoding="utf-8") == res.output
+
+    def test_replay_with_a_stay(self, runner, tmp_path):
+        seq = write_json(tmp_path / "seq.json", {
+            "n": 2, "m": 3, "peak": "1/2",
+            "profiles": REFERENCE_PROFILES[:1] + REFERENCE_PROFILES,
+        })
+        res = invoke(runner, ["game", "dynamics", "--replay", str(seq)])
+        assert res.exit_code == 0
+        lines = [json.loads(line) for line in res.output.splitlines()]
+        assert [s["mover"] for s in lines[:-1]] == [None, 1, 0, 1]
+        assert lines[-1] == {"steps": 4, "cycle": {
+            "first": 1, "second": 4, "equivalence": "symmetric",
+            "player_perm": [1, 0], "query_perm": [2, 1, 0]}}
+
+
+def uncovered_keys(data, schema, where="$"):
+    """Paths of emitted object keys that the schema does not name.
+
+    Schema keys name fields literally, as ``a|b`` alternatives, or as a
+    ``<placeholder>`` that stands for any key.
+    """
+    if isinstance(data, dict):
+        if not isinstance(schema, dict):
+            return [where]
+        missing = []
+        for key, value in data.items():
+            sub = schema.get(key)
+            if sub is None:
+                sub = next((s for k, s in schema.items()
+                            if k.startswith("<") or key in k.split("|")), None)
+            if sub is None:
+                missing.append(f"{where}.{key}")
+            else:
+                missing += uncovered_keys(value, sub, f"{where}.{key}")
+        return missing
+    if isinstance(data, list):
+        sub = schema[0] if isinstance(schema, list) else schema
+        return [path for item in data for path in uncovered_keys(item, sub, where + "[]")]
+    return []
+
+
+class TestSchemaCoverage:
+    def test_every_emitted_key_is_in_the_schema(self, runner, tmp_path):
+        t = tmp_path
+        write_json(t / "cfg.json", {"topics": 5, "rounds": 6})
+        write_json(t / "p.json", {"n": 2, "m": 3, "peak": 0.5,
+                                  "strategies": [["0", "0", "0"], ["0.4", "0.5", "0.1"]]})
+        write_json(t / "start.json", {"n": 2, "m": 3, "peak": "1/2",
+                                      "strategies": REFERENCE_PROFILES[0]})
+        write_json(t / "seq.json", {"n": 2, "m": 3, "peak": "1/2",
+                                    "profiles": REFERENCE_PROFILES})
+        write_json(t / "a.json", [1, 2, 3])
+        write_json(t / "b.json", [3, 1, 2])
+        log, inst = str(t / "log.jsonl"), str(t / "inst.csv")
+        runs = [
+            ["simulate", "competition", "--config", str(t / "cfg.json"), "--seed", "7",
+             "--out", log],
+            ["game", "exists", "--n", "2", "--m", "3", "--peak", "0.5"],
+            ["game", "construct", "--n", "2", "--m", "3", "--peak", "0.45", "--check"],
+            ["game", "verify", "--profile", str(t / "p.json")],
+            ["game", "best-response", "--profile", str(t / "p.json"), "--player", "0"],
+            ["game", "dynamics", "--init", str(t / "start.json"), "--epsilon", "1/10"],
+            ["game", "dynamics", "--replay", str(t / "seq.json")],
+            ["game", "oracle", "--n", "2", "--m", "3", "--peak", "1/3", "--grid", "3"],
+            ["features", "extract", "--log", log, "--out", str(t / "feats.csv")],
+            ["features", "rbo", "--a", str(t / "a.json"), "--b", str(t / "b.json")],
+            ["report", "win-spread", "--log", log],
+            ["report", "rbo", "--log", log],
+            ["report", "trajectories", "--log", log],
+            ["predict", "build", "--log", log, "--out", inst],
+            ["predict", "cv", "--instances", inst, "--params", "1,10", "--seed", "1"],
+            ["predict", "baselines", "--log", log, "--seed", "1"],
+        ]
+        leaves = set()
+        for args in runs:
+            res = invoke(runner, args)
+            assert res.exit_code == 0, args
+            schema = json.loads(invoke(runner, args[:2] + ["--schema"]).output)
+            lines = [json.loads(line) for line in res.output.splitlines()]
+            if args[:2] == ["game", "dynamics"]:
+                shapes = [s for s in schema.values() if isinstance(s, dict)]
+                for line in lines:
+                    assert any(not uncovered_keys(line, s) for s in shapes), (args, line)
+            else:
+                assert len(lines) == 1
+                assert uncovered_keys(lines[0], schema) == [], args
+            leaves.add(tuple(args[:2]))
+            if "--replay" in args:  # the reference cycle fills the cycle object
+                assert lines[-1]["cycle"]["player_perm"] == [1, 0]
+        assert len(leaves) == 15
+
+    def test_uncovered_keys_reports_a_missing_field(self):
+        schema = {"rows": [{"a": "int"}], "<k>": {"x|y": "float"}}
+        assert uncovered_keys({"rows": [{"a": 1, "b": 2}], "z": {"y": 1.0}}, schema) == [
+            "$.rows[].b"
+        ]
+        assert uncovered_keys({"z": {"w": 1.0}}, schema) == ["$.z.w"]
+
+
+class TestFlags:
+    @pytest.fixture
+    def log(self, runner, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", {"topics": 5, "rounds": 6})
+        path = tmp_path / "log.jsonl"
+        invoke(runner, ["simulate", "competition", "--config", str(cfg), "--seed", "7",
+                        "--out", str(path)])
+        return path
+
+    def test_no_normalize_keeps_raw_feature_values(self, runner, log, tmp_path):
+        from rankcomp.prediction import instances_from_csv, normalize_per_query
+
+        norm, raw = tmp_path / "norm.csv", tmp_path / "raw.csv"
+        invoke(runner, ["predict", "build", "--log", str(log), "--out", str(norm)])
+        res = invoke(runner, ["predict", "build", "--log", str(log), "--out", str(raw),
+                              "--no-normalize"])
+        assert json.loads(res.output)["out"] == str(raw)
+        raw_insts = instances_from_csv(raw)
+        assert max(max(inst.features) for inst in raw_insts) > 1.0
+        assert normalize_per_query(raw_insts) == instances_from_csv(norm)
+
+    def test_no_symmetry_finds_the_same_equilibria(self, runner):
+        args = ["game", "oracle", "--n", "2", "--m", "3", "--peak", "1/3", "--grid", "3"]
+        sym = json.loads(invoke(runner, args).output)
+        full = json.loads(invoke(runner, args + ["--no-symmetry"]).output)
+        assert full["equilibria_exact"] == sym["equilibria_exact"]
+        assert full["profiles_checked"] == full["strategy_count"] ** 2
+        assert full["profiles_checked"] > sym["profiles_checked"]
+
+    def test_table_format_renders_nested_results(self, runner, log, tmp_path):
+        inst = tmp_path / "inst.csv"
+        invoke(runner, ["predict", "build", "--log", str(log), "--out", str(inst)])
+        args = ["predict", "cv", "--instances", str(inst), "--params", "1,10", "--seed", "1"]
+        data = json.loads(invoke(runner, args).output)
+        table = invoke(runner, ["--format", "table"] + args).output
+        assert "(" not in table
+        assert "folds:\n    acc: " in table
+        assert "params:\n  - 1.0\n  - 10.0\n" in table
+        assert f"mean_acc: {data['mean_acc']}\n" in table
+        table = invoke(runner, ["--format", "table", "report", "win-spread",
+                                "--log", str(log)]).output
+        assert table.startswith("observations: ")
+        assert "rows:\n    doc_percent: " in table
+
+    def test_random_order_is_seeded(self, runner, tmp_path, monkeypatch):
+        monkeypatch.delenv("RANKCOMP_SEED", raising=False)
+        start = write_json(tmp_path / "start.json", {
+            "n": 3, "m": 3, "peak": "1/3",
+            "strategies": [["0.2", "0.3", "0.1"], ["0.1", "0.1", "0.1"], ["0.5", "0", "0.5"]],
+        })
+        args = ["game", "dynamics", "--init", str(start), "--order", "random",
+                "--max-rounds", "8"]
+        runs = [invoke(runner, args + ["--seed", seed]).output for seed in ("4", "4", "5")]
+        assert runs[0] == runs[1]
+        movers = [[json.loads(line).get("mover") for line in out.splitlines()[:-1]]
+                  for out in runs]
+        assert movers[0] != movers[2]
+        assert movers[0] != [1, 2, 0, 1, 2, 0, 1, 2][: len(movers[0])]
+        res = runner.invoke(main, args)
+        assert json_error(res) == "random order requires a seed"

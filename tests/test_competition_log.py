@@ -103,6 +103,56 @@ class TestPersistence:
         with pytest.raises(LogFormatError):
             load_log(path)
 
+    @pytest.mark.parametrize("text", [5, None, ["x"]])
+    def test_non_string_document_text_is_reported_with_location(self, tmp_path, text):
+        data = {
+            "topic_id": "T2",
+            "queries": ["q"],
+            "rounds": [
+                {
+                    "round_index": 1,
+                    "documents": {"a": {"text": text, "is_bot": False}},
+                    "rankings": [["a"]],
+                }
+            ],
+        }
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n" + json.dumps(data) + "\n", encoding="utf-8")
+        with pytest.raises(LogFormatError, match="line 2: .*'a' text is not a string"):
+            load_log(path)
+
+    def test_non_string_ranking_entry_is_reported_with_location(self, tmp_path):
+        data = {
+            "topic_id": "T3",
+            "queries": ["q"],
+            "rounds": [
+                {
+                    "round_index": 1,
+                    "documents": {"a": {"text": "x", "is_bot": False}},
+                    "rankings": [["a", 1]],
+                }
+            ],
+        }
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+        with pytest.raises(LogFormatError, match="line 1: topic 'T3' round 1 ranks a publisher"):
+            load_log(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "5",
+            "[1, 2]",
+            json.dumps({"topic_id": "T", "queries": ["q"],
+                        "rounds": [{"round_index": 1, "documents": [], "rankings": []}]}),
+        ],
+    )
+    def test_non_object_lines_are_format_errors(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(LogFormatError, match="line 1"):
+            load_log(path)
+
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3), st.integers(2, 4), st.integers(0, 10_000))
     def test_round_trip_identity_on_generated_logs(self, topics, rounds, pubs, seed):
@@ -296,6 +346,57 @@ class TestSynthesize:
         for rnd in topic.rounds[1:]:
             assert rnd.documents == first.documents
             assert rnd.rankings == first.rankings
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"topics": 0}, "topics must be an integer >= 1"),
+            ({"rounds": "x"}, "rounds must be an integer"),
+            ({"publishers": True}, "publishers must be an integer"),
+            ({"queries_per_topic": 0}, "queries_per_topic must be an integer >= 1"),
+            ({"vocabulary_size": 10}, "vocabulary_size must be an integer >= 24"),
+            ({"doc_length": 2.5}, "doc_length must be an integer"),
+            ({"strategy_mix": (("mimic_winner", 5),)}, "unknown strategy 'mimic_winner'"),
+            ({"strategy_mix": (("static", -1),)}, "'static' count must be an integer >= 0"),
+            ({"scorer_weights": (("bm26", 1.0),)}, "unknown scorer feature 'bm26'"),
+            ({"scorer_weights": (("bm25", "1"),)}, "weight for 'bm25' must be a number"),
+        ],
+    )
+    def test_invalid_config_is_a_domain_error(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            SynthesisConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"topicz": 4}, r"unknown synthesis config keys \['topicz'\]"),
+            ({"topics": "4"}, "topics must be an integer"),
+            ({"rounds": 2.0}, "rounds must be an integer"),
+            ({"strategy_mix": {"mimic_winner": 5}}, "unknown strategy"),
+            ({"strategy_mix": [["static", 1]]}, "strategy_mix must be a JSON object"),
+            ([], "must be a JSON object"),
+        ],
+    )
+    def test_from_dict_is_strict(self, data, message):
+        with pytest.raises(DomainError, match=message):
+            SynthesisConfig.from_dict(data)
+
+    def test_from_dict_reads_the_documented_config(self):
+        data = {
+            "topics": 2, "rounds": 3, "queries_per_topic": 2, "publishers": 4,
+            "strategy_mix": {"mimic-winner": 2, "static": 1, "random-edit": 1},
+            "vocabulary_size": 40, "doc_length": 20,
+            "scorer_weights": {"bm25": 1, "tf": 0.5},
+        }
+        config = SynthesisConfig.from_dict(data)
+        assert config == SynthesisConfig(
+            topics=2, rounds=3, queries_per_topic=2, publishers=4,
+            strategy_mix=(("mimic-winner", 2), ("static", 1), ("random-edit", 1)),
+            vocabulary_size=40, doc_length=20,
+            scorer_weights=(("bm25", 1.0), ("tf", 0.5)),
+        )
+        assert isinstance(config.scorer_weights[0][1], float)
+        assert SynthesisConfig.from_dict({}) == SynthesisConfig()
 
     def test_generated_logs_satisfy_schema(self):
         log = synthesize(SynthesisConfig(topics=3, rounds=4), seed=17)

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from conftest import random_strategy
 from symmetry_oracle import symmetric_match_oracle
 
 from rankcomp.dynamics import (
@@ -128,6 +129,28 @@ class TestDetectCycle:
         cyc = detect_cycle(g, [p, p, p], movers=[None, None])
         assert cyc is not None and cyc.equivalence == "exact"
         assert (cyc.first, cyc.second) == (0, 1)
+
+    def test_state_after_a_stay_matches_only_exactly(self):
+        # the stay leaves state 0 without a known mover; it used to crash the
+        # symmetric match, and now it is skipped there
+        assert detect_cycle(GAME, [S0, S0, S1]) is None
+        cyc = detect_cycle(GAME, [S0] + SEQUENCE)
+        assert (cyc.first, cyc.second, cyc.equivalence) == (1, 4, "symmetric")
+        assert cyc.player_perm == (1, 0)
+        assert cyc.query_perm == (2, 1, 0)
+
+    def test_detect_cycle_accepts_every_dynamics_trace(self, rng):
+        with_stays = 0
+        for _ in range(80):
+            n, m = rng.randint(2, 3), rng.randint(2, 4)
+            g = RankingGame.tent(n, m, F(rng.randint(1, 9), 10))
+            trace = run_dynamics(
+                g, StrategyProfile([random_strategy(rng, m) for _ in range(n)]), max_rounds=12
+            )
+            with_stays += not all(s.moved for s in trace.steps)
+            for mode in ("symmetric", "exact"):
+                detect_cycle(g, trace.profiles, mode=mode)
+        assert with_stays >= 5
 
     def test_strictly_escalating_run_has_no_cycle(self):
         g = RankingGame.tent(2, 2, F(4, 5))

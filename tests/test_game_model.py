@@ -13,12 +13,14 @@ from rankcomp.game import (
     induce_ranking,
     load_profile,
     profile_from_dict,
+    read_json,
     save_profile,
+    sequence_from_dict,
     score,
     utilities,
     validate_profile,
 )
-from rankcomp.numeric import DomainError
+from rankcomp.numeric import DomainError, dual_view
 
 from conftest import random_instance
 
@@ -237,6 +239,55 @@ class TestProfileFiles:
             {"n": 1, "m": 1, "peak": "1/3", "strategies": [["1/3"]]}
         )
         assert prof[0][0] == F(1, 3)
+
+    def test_save_profile_writes_compact_sorted_json(self, tmp_path):
+        g = tent_game(2, 2, F(1, 3))
+        path = tmp_path / "prof.json"
+        save_profile(path, g, StrategyProfile([[F(1, 3), F(0)], [F(1, 2), F(1, 4)]]))
+        assert path.read_text(encoding="utf-8") == (
+            '{"m":2,"n":2,"peak":0.3333333333333333,"peak_exact":"1/3",'
+            '"strategies":[[0.3333333333333333,0.0],[0.5,0.25]],'
+            '"strategies_exact":[["1/3",0],["1/2","1/4"]]}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"m": 1, "peak": 0.5, "strategies": [[0]]}, "profile file missing field 'n'"),
+            ({"n": 1, "m": 1, "strategies": [[0]]}, "profile file missing field 'peak'"),
+            ({"n": 1, "m": 1, "peak": 0.5}, "profile file missing field 'strategies'"),
+            ({"n": "x", "m": 1, "peak": 0.5, "strategies": [[0]]}, "n and m must be integers"),
+            ({"n": 1, "m": 1, "peak": 0.5, "strategies": 3}, "list of number lists"),
+            ({"n": 1, "m": 1, "peak": 0.5, "strategies": [[{}]]}, "cannot parse number"),
+            ([1, 2], "profile file must hold a JSON object"),
+        ],
+    )
+    def test_malformed_profile_is_a_domain_error(self, data, message):
+        with pytest.raises(DomainError, match=message):
+            profile_from_dict(data)
+
+    def test_sequence_shares_the_profile_fields(self):
+        g, profiles = sequence_from_dict(
+            {"n": 2, "m": 1, "peak": 0.5, "peak_exact": "1/3",
+             "profiles": [[["1/3"], [0]], [["1/3"], [0.25]]]}
+        )
+        assert g == tent_game(2, 1, F(1, 3))
+        assert profiles == [StrategyProfile([[F(1, 3)], [F(0)]]),
+                            StrategyProfile([[F(1, 3)], [F(1, 4)]])]
+        with pytest.raises(DomainError, match="sequence file missing field 'profiles'"):
+            sequence_from_dict({"n": 2, "m": 1, "peak": 0.5})
+
+    def test_read_json_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{bad", encoding="utf-8")
+        with pytest.raises(DomainError, match=r"bad\.json: invalid JSON"):
+            read_json(path)
+
+    def test_dual_view_nests_float_and_exact_views(self):
+        assert dual_view("v", F(1, 4)) == {"v": 0.25, "v_exact": "1/4"}
+        assert dual_view("v", ((F(2), F(1, 2)), [0.5])) == {
+            "v": [[2.0, 0.5], [0.5]], "v_exact": [[2, "1/2"], [0.5]],
+        }
 
 
 class TestFloatMode:

@@ -247,6 +247,31 @@ class TestCsvRoundTrip:
         back = instances_from_csv(path)
         assert back == insts
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda row: row[:4] + ["abc"] + row[5:], "line 3: could not convert"),
+            (lambda row: row[:5] + row[6:], "line 3: 31 columns, expected 32"),
+            (lambda row: row + ["0"], "line 3: 33 columns, expected 32"),
+            (lambda row: row[:1] + ["q"] + row[2:], "line 3: invalid literal"),
+            (lambda row: row[:-1] + ["yes"], "line 3: label 'yes' is not 0 or 1"),
+        ],
+    )
+    def test_malformed_row_names_its_line(self, tmp_path, edit, message):
+        path = tmp_path / "inst.csv"
+        instances_to_csv(path, build_instances(LOG)[:3])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DomainError, match=message):
+            instances_from_csv(path)
+
+    def test_empty_file_is_a_header_error(self, tmp_path):
+        path = tmp_path / "inst.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(DomainError, match="header"):
+            instances_from_csv(path)
+
 
 class TestLogreg:
     def test_separable_toy_set_fits_perfectly(self):
