@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .game import EmphasisVector, RankingGame, StrategyProfile, require_valid, score, utilities
-from .numeric import DomainError, Number, is_exact, number_less, numbers_equal
+from .game import EmphasisVector, RankingGame, StrategyProfile, require_valid, score, unit, utilities
+from .numeric import DomainError, Number, number_less, numbers_equal, one_like
 
 DEFAULT_EPSILON = Fraction(1, 1000)
 
@@ -81,9 +81,8 @@ def thresholds(game: RankingGame, profile: StrategyProfile, player: int) -> tupl
     if not 0 <= player < game.n:
         raise DomainError(f"player {player} outside [0, {game.n})")
     f = game.f
-    exact = profile.is_exact() and is_exact(*[k for xy in f.knots for k in xy])
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+    one = unit(game, profile)
+    zero = 0 * one
     out = []
     for j in range(game.m):
         opp_scores = [score(game, profile[k], j) for k in range(game.n) if k != player]
@@ -100,7 +99,7 @@ def thresholds(game: RankingGame, profile: StrategyProfile, player: int) -> tupl
         beats = number_less(top, at_cost)
         top_is_peak = numbers_equal(top, f.max_score)
         if numbers_equal(cost, zero):
-            zv = one if beats else _tie_share(tie_count, exact)
+            zv = one if beats else one / (tie_count + 1)
         else:
             zv = zero
         out.append(
@@ -108,10 +107,6 @@ def thresholds(game: RankingGame, profile: StrategyProfile, player: int) -> tupl
                            beats_at_cost=beats, zero_value=zv)
         )
     return tuple(out)
-
-
-def _tie_share(tie_count: int, exact: bool) -> Number:
-    return Fraction(1, tie_count + 1) if exact else 1.0 / (tie_count + 1)
 
 
 def _solo_available(th: QueryThreshold) -> bool:
@@ -132,12 +127,12 @@ def best_response_value(game: RankingGame, profile: StrategyProfile, player: int
 
 
 def _solve(game: RankingGame, profile: StrategyProfile, ths) -> BestResponse:
+    one = unit(game, profile)
     if game.n == 1:
-        exact = profile.is_exact()
-        m_val = Fraction(game.m) if exact else float(game.m)
-        plan = DeviationPlan(frozenset(range(game.m)), frozenset(), m_val, Fraction(0) if exact else 0.0)
+        m_val = game.m * one
+        plan = DeviationPlan(frozenset(range(game.m)), frozenset(), m_val, 0 * one)
         return BestResponse(sup_value=m_val, attained_value=m_val, plan=plan)
-    return _optimize(ths)
+    return _optimize(ths, one)
 
 
 def _gains(th: QueryThreshold) -> tuple[Fraction, bool, Fraction]:
@@ -153,7 +148,7 @@ def _gains(th: QueryThreshold) -> tuple[Fraction, bool, Fraction]:
     return open_role - base, _solo_available(th) and not th.beats_at_cost, closed_role - base
 
 
-def _optimize(ths) -> BestResponse:
+def _optimize(ths, one: Number) -> BestResponse:
     """Exact 0/1 knapsack over invest-subsets by a gain-indexed DP.
 
     An open plan gives every invested query its best role; if one of
@@ -165,9 +160,7 @@ def _optimize(ths) -> BestResponse:
     is the lowest invest mask (as an integer over query bits) attaining
     the optimum, in its open roles when it affords them.
     """
-    exact = is_exact(*[t.cost for t in ths])
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+    zero = 0 * one
     zero_total = sum((t.zero_value for t in ths), zero)
     costs = [t.cost for t in ths]
     open_gains, margins, closed_gains = zip(*map(_gains, ths))
@@ -239,16 +232,9 @@ def best_response_witness(
         raise DomainError("epsilon must be positive")
     ths = thresholds(game, profile, player)
     br = _solve(game, profile, ths)
-    if game.n == 1:
-        exact = profile.is_exact()
-        zero = Fraction(0) if exact else 0.0
-        vec = EmphasisVector([zero] * game.m)
-        return WitnessResult(vec, br.attained_value, zero, br.plan)
-
-    exact = is_exact(*[t.cost for t in ths]) and not isinstance(epsilon, float)
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
-    eps = Fraction(epsilon) if exact and not isinstance(epsilon, Fraction) else epsilon
+    one = one_like(unit(game, profile), epsilon)
+    zero = 0 * one
+    eps = epsilon * one
 
     plan = br.plan
     open_solos = [
@@ -277,11 +263,13 @@ def best_response_witness(
     else:
         eps = zero
         emphases = build(eps)
-    vec = EmphasisVector(emphases)
+    # f's knots are exact in a float profile: every emphasis joins the mode
+    vec = EmphasisVector([e + zero for e in emphases])
 
     achieved = utilities(game, profile.replace(player, vec))[player]
     if not numbers_equal(achieved, br.attained_value):
         raise AssertionError(
             f"witness utility {achieved} does not match attained value {br.attained_value}"
         )
-    return WitnessResult(vec, achieved, eps, DeviationPlan(plan.solo_set, plan.tie_set, plan.value, eps))
+    plan = DeviationPlan(plan.solo_set, plan.tie_set, plan.value + zero, eps)
+    return WitnessResult(vec, achieved, eps, plan)

@@ -119,30 +119,27 @@ def _schema_option(schema: dict):
     return decorator
 
 
-def _env_seed():
-    raw = os.environ.get("RANKCOMP_SEED")
-    return int(raw) if raw else None
+def _env_int(name: str, low=None):
+    """An integer default from the environment (None when unset), checked."""
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        value = int(raw)
+    except ValueError:
+        value = None
+    if value is None or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise DomainError(f"{name} must be an integer{bound}, got {raw!r}")
+    return value
 
 
 def _require_seed(seed):
     if seed is None:
-        seed = _env_seed()
+        seed = _env_int("RANKCOMP_SEED")
     if seed is None:
         raise click.UsageError("--seed is required (or set RANKCOMP_SEED)")
     return seed
-
-
-def _env_jobs():
-    raw = os.environ.get("RANKCOMP_JOBS")
-    if not raw:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise DomainError(f"RANKCOMP_JOBS must be an integer >= 1, got {raw!r}")
-    return jobs
 
 
 _log_option = click.option("--log", "log_path", type=click.Path(exists=True), required=True)
@@ -183,7 +180,8 @@ def game():
 @click.option("--n", type=int, required=True)
 @click.option("--m", type=int, required=True)
 @click.option("--peak", required=True)
-@_schema_option({"exists": "bool", "threshold": "float", "threshold_exact": "str", "regime": "str"})
+@_schema_option({"exists": "bool", "threshold": "float", "threshold_exact": "str|int",
+                 "regime": "str"})
 @click.pass_context
 def game_exists(ctx, n, m, peak):
     verdict = eq_mod.exists_equilibrium(n, m, parse_number(peak))
@@ -305,7 +303,7 @@ def game_dynamics(ctx, init_path, replay_path, order, seed, max_rounds, epsilon,
     if (init_path is None) == (replay_path is None):
         raise click.UsageError("provide exactly one of --init or --replay")
     if seed is None:
-        seed = _env_seed()
+        seed = _env_int("RANKCOMP_SEED")
     if replay_path:
         g, profiles = load_sequence(replay_path)
         reports = dyn_mod.verify_trace(g, profiles)
@@ -351,7 +349,7 @@ def game_dynamics(ctx, init_path, replay_path, order, seed, max_rounds, epsilon,
 @click.pass_context
 def game_oracle(ctx, n, m, peak, g_res, mode, jobs, budget, no_symmetry):
     if jobs is None:
-        jobs = _env_jobs()
+        jobs = _env_int("RANKCOMP_JOBS", low=1) or 1
     peak_value = parse_number(peak)
     spec = oracle_mod.GridSpec(
         g=g_res, n=n, m=m, peak=peak_value, budget=budget, symmetry=not no_symmetry
@@ -509,7 +507,7 @@ def predict():
 @click.pass_context
 def predict_build(ctx, log_path, out, stops, normalize, jobs):
     if jobs is None:
-        jobs = _env_jobs()
+        jobs = _env_int("RANKCOMP_JOBS", low=1) or 1
     log = load_log(log_path)
     insts = build_instances_parallel(log, filter_for_prediction(log), stops, jobs=jobs)
     if normalize:
@@ -531,7 +529,7 @@ def predict_build(ctx, log_path, out, stops, normalize, jobs):
 @click.pass_context
 def predict_cv(ctx, instances_path, params, seed, sections):
     if seed is None:
-        seed = _env_seed() or 0
+        seed = _env_int("RANKCOMP_SEED") or 0
     insts = instances_from_csv(instances_path)
     if sections:
         insts = mask_sections(insts, [s.strip() for s in sections.split(",") if s.strip()])

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 from .best_response import DEFAULT_EPSILON, best_response_value, best_response_witness
 from .game import RankingGame, StrategyProfile, require_valid, utilities
-from .numeric import CapacityError, DomainError, Number, numbers_equal
+from .numeric import CapacityError, DomainError, Number, improves, numbers_equal
 
 #: most player relabelings symmetric cycle detection may try, (n-1)!
 SYMMETRY_BUDGET = 200_000
@@ -152,7 +152,7 @@ def run_dynamics(
 
         current = utilities(game, profile)[mover]
         br = best_response_value(game, profile, mover)
-        if br.attained_value > current and not numbers_equal(br.attained_value, current):
+        if improves(br.attained_value, current):
             witness = best_response_witness(game, profile, mover, epsilon)
             profile = profile.replace(mover, witness.strategy)
             steps.append(DynamicsStep(t, mover, True, witness.value, profile))
@@ -209,17 +209,10 @@ def verify_trace(
             # report the player with the largest improvement gap; a stay is
             # optimal only when even that player cannot gain
             current = utilities(game, before)
-            gaps = []
-            for i in range(game.n):
-                br = best_response_value(game, before, i)
-                gaps.append((br.attained_value - current[i], i, br.attained_value))
-            gap, i, attained = max(gaps)
-            reports.append(
-                TraceStepReport(
-                    t, None, current[i], attained,
-                    optimal=gap <= 0 or numbers_equal(attained, current[i]),
-                )
-            )
+            attained = [best_response_value(game, before, i).attained_value for i in range(game.n)]
+            _, i = max((attained[i] - current[i], i) for i in range(game.n))
+            reports.append(TraceStepReport(t, None, current[i], attained[i],
+                                           optimal=not improves(attained[i], current[i])))
             continue
         br = best_response_value(game, before, mover)
         achieved = utilities(game, after)[mover]

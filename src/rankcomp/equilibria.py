@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .best_response import best_response_value, best_response_witness
-from .game import EmphasisVector, RankingGame, StrategyProfile, require_valid, utilities
-from .numeric import DomainError, Number, ceil_div, numbers_equal, parse_number
+from .game import EmphasisVector, RankingGame, StrategyProfile, require_valid, unit, utilities
+from .numeric import DomainError, Number, ceil_div, improves, parse_number
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,8 @@ def _peak_assignment_profile(game: RankingGame) -> StrategyProfile:
     # under an integer
     k = int(Fraction(1) / Fraction(p)) if not isinstance(p, float) else int(1.0 / p + 1e-9)
     k = min(k, m)
-    one = Fraction(1) if not isinstance(p, float) else 1.0
-    zero = one - one
+    one = unit(game)
+    zero = 0 * one
 
     # deal nk peak slots with per-query counts as equal as possible;
     # player i takes slot positions congruent to i mod n, which keeps each
@@ -176,7 +176,8 @@ def _budget_fill_profile(game: RankingGame) -> StrategyProfile:
     profile where the literal formula would go negative.
     """
     p = game.peak
-    one = Fraction(1) if not isinstance(p, float) else 1.0
+    one = unit(game)
+    zero = 0 * one
     emphases = []
     budget = one
     for _ in range(game.m):
@@ -184,8 +185,8 @@ def _budget_fill_profile(game: RankingGame) -> StrategyProfile:
             emphases.append(p)
             budget = budget - p
         else:
-            emphases.append(budget if budget > 0 else one - one)
-            budget = one - one
+            emphases.append(budget if budget > 0 else zero)
+            budget = zero
     return StrategyProfile([EmphasisVector(emphases)] * game.n)
 
 
@@ -228,9 +229,7 @@ def verify_nash(game: RankingGame, profile: StrategyProfile) -> NashReport:
     is_nash = True
     for i in range(game.n):
         br = best_response_value(game, profile, i)
-        improving = br.attained_value > current[i] and not numbers_equal(
-            br.attained_value, current[i]
-        )
+        improving = improves(br.attained_value, current[i])
         witness = None
         if improving:
             is_nash = False

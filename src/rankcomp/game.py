@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .numeric import (
     DomainError,
     Number,
-    SIMPLEX_TOL,
-    all_exact,
     dual_view,
     numbers_equal,
+    one_like,
     parse_number,
+    simplex_cap,
 )
 
 
@@ -72,8 +71,8 @@ class SinglePeakFunction:
         peak = parse_number(peak) if isinstance(peak, str) else peak
         if not 0 <= peak <= 1:
             raise DomainError(f"peak {peak} outside [0, 1]")
-        one = Fraction(1) if not isinstance(peak, float) else 1.0
-        zero = one - one
+        one = one_like(peak)
+        zero = 0 * one
         if peak == 0:
             return cls(knots=((zero, one), (one, zero)), peak=zero)
         if peak == 1:
@@ -185,9 +184,6 @@ class StrategyProfile:
         s[player] = strategy
         return StrategyProfile(s)
 
-    def is_exact(self) -> bool:
-        return all(all_exact(v.emphases) for v in self.strategies)
-
 
 @dataclass(frozen=True)
 class TieGroup:
@@ -247,13 +243,19 @@ def induce_ranking(game: RankingGame, profile: StrategyProfile, query_index: int
     )
 
 
+def unit(game: RankingGame, *profiles: StrategyProfile) -> Number:
+    """The mode's 1 for f's knots and the profiles' emphases (see numeric)."""
+    knots = [k for xy in game.f.knots for k in xy]
+    return one_like(*knots, *(e for p in profiles for v in p.strategies for e in v.emphases))
+
+
 def utilities(game: RankingGame, profile: StrategyProfile) -> tuple[Number, ...]:
     """Per-player expected utility: each query's top group splits one unit."""
-    exact = profile.is_exact() and all_exact([k for xy in game.f.knots for k in xy])
-    out = [Fraction(0) if exact else 0.0] * game.n
+    one = unit(game, profile)
+    out = [0 * one] * game.n
     for j in range(game.m):
         top = induce_ranking(game, profile, j).top_players
-        share = Fraction(1, len(top)) if exact else 1.0 / len(top)
+        share = one / len(top)
         for i in top:
             out[i] = out[i] + share
     return tuple(out)
@@ -272,8 +274,7 @@ def validate_profile(game: RankingGame, profile: StrategyProfile) -> ValidationR
             if not 0 <= e <= 1:
                 violations.append(f"player {i}: emphasis {e} on query {j} outside [0, 1]")
         total = vec.total
-        cap = 1 if all_exact(vec.emphases) else 1 + SIMPLEX_TOL
-        if total > cap:
+        if total > simplex_cap(*vec.emphases):
             violations.append(f"player {i}: sum {total} > 1")
     return ValidationReport(ok=not violations, violations=tuple(violations))
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import kernels
 from .equilibria import verify_nash
 from .game import EmphasisVector, RankingGame, SinglePeakFunction, StrategyProfile, utilities
-from .numeric import CapacityError, DomainError, Number, parse_number
+from .numeric import CapacityError, DomainError, Number, improves, parse_number
 
 DEFAULT_BUDGET = 100_000_000
 _CHUNK_ROWS = 65536  # profiles per float-screen chunk
@@ -232,6 +232,6 @@ def _grid_stable(game, profile, strategies) -> bool:
         for alt in strategies:
             if alt.emphases == profile[i].emphases:
                 continue
-            if utilities(game, profile.replace(i, alt))[i] > current[i]:
+            if improves(utilities(game, profile.replace(i, alt))[i], current[i]):
                 return False
     return True

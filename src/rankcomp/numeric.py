@@ -1,16 +1,21 @@
-"""Numeric core: exact rationals vs floats under one comparison policy.
+"""Numeric core: the one rule for exact vs float arithmetic.
 
-Game computations run in one of two modes.  When every input is an int or
-a Fraction, all arithmetic stays exact and comparisons use equality with
-zero tolerance.  As soon as a float enters, comparisons fall back to an
-absolute tolerance of 1e-9.  Equality-at-peak situations are tie-sensitive,
-so equilibrium verification should always be driven with rationals.
+The inputs decide the mode: the players' emphases, the knots of f and,
+for a best-response witness, epsilon.  When every input is an int or a
+Fraction, arithmetic stays exact and comparisons have zero tolerance.
+Any float input, even one emphasis of one player in a profile mixing
+exact and float players, means float mode: floats compared with an
+absolute tolerance of 1e-9.  :func:`one_like` gives the mode's 1, from
+which every zero, one and tie share is built; :func:`improves` is the
+one strict-improvement test (better by more than 1e-9 in float mode,
+grid mode included).  Ties at the peak are knife-edge, so equilibrium
+verification should always be driven with rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 Number = Union[int, float, Fraction]
 
@@ -34,21 +39,32 @@ def is_exact(*values: Number) -> bool:
     return all(not isinstance(v, float) for v in values)
 
 
-def all_exact(values: Iterable[Number]) -> bool:
-    return all(not isinstance(v, float) for v in values)
+def one_like(*values: Number) -> Number:
+    """The unit of the values' mode: Fraction(1) when all are exact, else 1.0."""
+    return Fraction(1) if is_exact(*values) else 1.0
 
 
-def numbers_equal(a: Number, b: Number, tol: float = FLOAT_TOL) -> bool:
+def simplex_cap(*emphases: Number) -> Number:
+    """Largest allowed emphasis total: 1, plus SIMPLEX_TOL of noise in float mode."""
+    return 1 if is_exact(*emphases) else 1 + SIMPLEX_TOL
+
+
+def numbers_equal(a: Number, b: Number) -> bool:
     if is_exact(a, b):
         return a == b
-    return abs(a - b) <= tol
+    return abs(a - b) <= FLOAT_TOL
 
 
-def number_less(a: Number, b: Number, tol: float = FLOAT_TOL) -> bool:
+def number_less(a: Number, b: Number) -> bool:
     """a < b strictly, beyond tolerance in float mode."""
     if is_exact(a, b):
         return a < b
-    return a < b - tol
+    return a < b - FLOAT_TOL
+
+
+def improves(new: Number, old: Number) -> bool:
+    """True when `new` beats `old` strictly, beyond tolerance in float mode."""
+    return new > old and not numbers_equal(new, old)
 
 
 def parse_number(value) -> Number:
@@ -102,10 +118,6 @@ def float_view(value):
 def dual_view(key: str, value) -> dict:
     """``{key: float view, key + "_exact": number_to_json view}`` for JSON output."""
     return {key: float_view(value), key + "_exact": _map_nested(value, number_to_json)}
-
-
-def as_float(value: Number) -> float:
-    return float(value)
 
 
 def ceil_div(a: int, b: int) -> int:

@@ -282,11 +282,8 @@ def normalize_per_query(instances: Sequence[PredictionInstance]) -> list[Predict
 
     Constant features map to zero; labels are untouched.  Idempotent.
     """
-    groups: dict[tuple, list[PredictionInstance]] = {}
-    for inst in instances:
-        groups.setdefault(inst.group_key, []).append(inst)
     out = []
-    for members in groups.values():
+    for members in _group_instances(instances).values():
         cols = list(zip(*(inst.features for inst in members)))
         lo = [min(col) for col in cols]
         hi = [max(col) for col in cols]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .numeric import DomainError
+
 DEFAULT_STOPWORDS = frozenset(
     """
     a about above after again all am an and any are as at be because been
@@ -24,9 +26,13 @@ DEFAULT_STOPWORDS = frozenset(
 
 
 def load_stopwords(path) -> frozenset[str]:
-    """Read a one-term-per-line stopword file (blank lines ignored)."""
+    """Read a one-term-per-line UTF-8 stopword file (blank lines ignored)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: stopword file is not UTF-8 text ({exc})") from None
     terms = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         term = line.strip().lower()
         if term:
             terms.append(term)

@@ -6,20 +6,18 @@ replaced only on strict improvement, so the reported plan is the lowest
 mask attaining the optimum, in its best roles when it affords them.
 """
 
-from fractions import Fraction
-
 from rankcomp.best_response import BestResponse, DeviationPlan, thresholds
-from rankcomp.numeric import is_exact, number_less
+from rankcomp.game import unit
+from rankcomp.numeric import number_less
 
 
 def enumerate_best_response(game, profile, player) -> BestResponse:
     ths = thresholds(game, profile, player)
-    exact = is_exact(*[t.cost for t in ths])
-    zero = Fraction(0) if exact else 0.0
-    one = Fraction(1) if exact else 1.0
+    one = unit(game, profile)
+    zero = 0 * one
 
     def tie_share(th):
-        return Fraction(1, th.tie_count + 1) if exact else 1.0 / (th.tie_count + 1)
+        return one / (th.tie_count + 1)
 
     def solo_available(th):
         return not th.top_is_peak or th.beats_at_cost

@@ -448,6 +448,25 @@ class TestMalformedInputs:
         res = runner.invoke(main, ["predict", "cv", "--instances", str(inst), "--seed", "1"])
         assert json_error(res).startswith(f"{inst}: line 2: could not convert")
 
+    @pytest.mark.parametrize("args", [["simulate", "competition", "--out", "OUT"],
+                                      ["predict", "cv", "--instances", "INST"]])
+    def test_invalid_seed_env_is_a_one_line_error(self, runner, monkeypatch, tmp_path, args):
+        monkeypatch.setenv("RANKCOMP_SEED", "abc")
+        inst = tmp_path / "inst.csv"
+        inst.write_text("", encoding="utf-8")  # refused before the file is read
+        paths = {"OUT": str(tmp_path / "log.jsonl"), "INST": str(inst)}
+        res = runner.invoke(main, [paths.get(a, a) for a in args])
+        assert json_error(res) == "RANKCOMP_SEED must be an integer, got 'abc'"
+        assert not (tmp_path / "log.jsonl").exists()
+
+    def test_stopwords_file_that_is_not_utf8(self, runner, tmp_path):
+        stops, log = tmp_path / "stops.txt", tmp_path / "log.jsonl"
+        stops.write_bytes(b"\xff\xfe")
+        log.write_text("", encoding="utf-8")
+        res = runner.invoke(main, ["report", "trajectories", "--log", str(log),
+                                   "--stopwords", str(stops)])
+        assert json_error(res).startswith(f"{stops}: stopword file is not UTF-8 text (")
+
     def test_non_string_document_text(self, runner, tmp_path):
         log = tmp_path / "log.jsonl"
         write_json(log, {"topic_id": "T0", "queries": ["q"], "rounds": [
@@ -511,6 +530,32 @@ def uncovered_keys(data, schema, where="$"):
     return []
 
 
+def _has_type(value, declared: str) -> bool:
+    """Does a JSON value have a declared type such as "str|int" or "[[str|int]]"?"""
+    if declared.startswith("["):
+        return isinstance(value, list) and all(_has_type(v, declared[1:-1]) for v in value)
+    kinds = {"str": str, "int": int, "float": float}
+    return not isinstance(value, bool) and any(
+        isinstance(value, kinds[kind]) for kind in declared.split("|")
+    )
+
+
+def exact_type_errors(data, schema, where="$"):
+    """Paths of emitted ``*_exact`` values whose JSON type the schema does not declare."""
+    if isinstance(data, dict) and isinstance(schema, dict):
+        errors = []
+        for key, value in data.items():
+            sub = schema.get(key)
+            if key.endswith("_exact") and not _has_type(value, sub):
+                errors.append(f"{where}.{key}")
+            elif sub is not None:
+                errors += exact_type_errors(value, sub, f"{where}.{key}")
+        return errors
+    if isinstance(data, list) and isinstance(schema, list):
+        return [path for item in data for path in exact_type_errors(item, schema[0], where + "[]")]
+    return []
+
+
 class TestSchemaCoverage:
     def test_every_emitted_key_is_in_the_schema(self, runner, tmp_path):
         t = tmp_path
@@ -528,6 +573,7 @@ class TestSchemaCoverage:
             ["simulate", "competition", "--config", str(t / "cfg.json"), "--seed", "7",
              "--out", log],
             ["game", "exists", "--n", "2", "--m", "3", "--peak", "0.5"],
+            ["game", "exists", "--n", "2", "--m", "1", "--peak", "1"],  # integral threshold
             ["game", "construct", "--n", "2", "--m", "3", "--peak", "0.45", "--check"],
             ["game", "verify", "--profile", str(t / "p.json")],
             ["game", "best-response", "--profile", str(t / "p.json"), "--player", "0"],
@@ -552,10 +598,12 @@ class TestSchemaCoverage:
             if args[:2] == ["game", "dynamics"]:
                 shapes = [s for s in schema.values() if isinstance(s, dict)]
                 for line in lines:
-                    assert any(not uncovered_keys(line, s) for s in shapes), (args, line)
+                    assert any(not uncovered_keys(line, s) and not exact_type_errors(line, s)
+                               for s in shapes), (args, line)
             else:
                 assert len(lines) == 1
                 assert uncovered_keys(lines[0], schema) == [], args
+                assert exact_type_errors(lines[0], schema) == [], args
             leaves.add(tuple(args[:2]))
             if "--replay" in args:  # the reference cycle fills the cycle object
                 assert lines[-1]["cycle"]["player_perm"] == [1, 0]
@@ -567,6 +615,11 @@ class TestSchemaCoverage:
             "$.rows[].b"
         ]
         assert uncovered_keys({"z": {"w": 1.0}}, schema) == ["$.z.w"]
+
+    def test_exact_type_errors_reports_an_undeclared_type(self):
+        schema = {"v_exact": "str", "rows": [{"w_exact": "[str|int]"}]}
+        data = {"v_exact": 1, "rows": [{"w_exact": ["1/2", 3]}, {"w_exact": [0.5]}]}
+        assert exact_type_errors(data, schema) == ["$.v_exact", "$.rows[].w_exact"]
 
 
 class TestFlags:

@@ -251,3 +251,14 @@ class TestGridModeIsDiagnosticOnly:
         assert len(grid.equilibria) > 0
         assert exact.equilibria == ()
         assert any("spurious" in note for note in grid.notes)
+
+    def test_float_tent_grid_mode_matches_the_exact_tent(self):
+        # float tie shares carry rounding noise; deviations are compared with
+        # numeric.improves, so noise is no improvement and both modes agree
+        for n, m, g, peak in [(3, 3, 3, F(1, 2)), (2, 2, 6, F(3, 10))]:
+            found = [
+                grid_nash_search(RankingGame.tent(n, m, p), GridSpec(g=g, n=n, m=m, peak=p),
+                                 deviation_mode="grid").equilibria
+                for p in (peak, float(peak))
+            ]
+            assert found[0] and found[0] == found[1]

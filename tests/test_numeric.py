@@ -1,0 +1,71 @@
+"""The arithmetic-mode rule: inputs decide exact vs float, everywhere alike."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import random_fraction, random_strategy
+from rankcomp.best_response import best_response_value, best_response_witness
+from rankcomp.equilibria import verify_nash
+from rankcomp.game import RankingGame, StrategyProfile, utilities
+from rankcomp.numeric import improves, numbers_equal, one_like
+
+
+def test_one_like_is_exact_only_without_floats():
+    assert type(one_like()) is Fraction
+    assert type(one_like(Fraction(1, 3), 2)) is Fraction
+    assert type(one_like(Fraction(1, 3), 0.5)) is float
+
+
+def test_improves_is_strict_beyond_the_float_tolerance():
+    assert improves(Fraction(1) + Fraction(1, 10**12), Fraction(1))
+    assert improves(1.0 + 1e-6, 1.0)
+    assert not improves(1.0 + 1e-12, 1.0)
+    assert not improves(1.0, 1.0)
+    assert not improves(0.5, 1.0)
+    assert numbers_equal(1.0 + 1e-12, 1.0) and not numbers_equal(Fraction(1, 10**12), 0)
+
+
+def _rows(rng, n, m, emphases):
+    rows = [list(random_strategy(rng, m).emphases) for _ in range(n)]
+    if emphases == "float":
+        return [[float(e) for e in row] for row in rows]
+    if emphases == "mixed":  # every other emphasis a float, the first one included
+        return [[float(e) if (i * m + j) % 2 == 0 else e for j, e in enumerate(row)]
+                for i, row in enumerate(rows)]
+    return rows
+
+
+@pytest.mark.parametrize("emphases", ["exact", "float", "mixed"])
+@pytest.mark.parametrize("float_knots", [False, True], ids=["exact_knots", "float_knots"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_returned_number_is_in_the_mode_of_the_inputs(n, float_knots, emphases):
+    rng = random.Random(f"{n}:{float_knots}:{emphases}")
+    kind = Fraction if not float_knots and emphases == "exact" else float
+    for _ in range(25):
+        m = rng.randint(1, 5)
+        peak = random_fraction(rng, 10)
+        game = RankingGame.tent(n, m, float(peak) if float_knots else peak)
+        profile = StrategyProfile(_rows(rng, n, m, emphases))
+        numbers = list(utilities(game, profile))
+        for i in range(n):
+            br = best_response_value(game, profile, i)
+            wit = best_response_witness(game, profile, i)
+            numbers += [br.sup_value, br.attained_value, br.plan.value, br.plan.epsilon,
+                        wit.value, wit.epsilon_used, wit.plan.value, wit.plan.epsilon,
+                        *wit.strategy.emphases]
+        for dev in verify_nash(game, profile).per_player:
+            numbers += [dev.current, dev.attained]
+        assert [type(x) for x in numbers] == [kind] * len(numbers), (game, profile)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_float_epsilon_puts_the_witness_in_float_mode(n):
+    game = RankingGame.tent(n, 3, Fraction(1, 2))
+    opponent = [Fraction(3, 10), Fraction(2, 5), Fraction(0)]
+    profile = StrategyProfile([[Fraction(0)] * 3] + [opponent] * (n - 1))
+    wit = best_response_witness(game, profile, 0, 0.1)
+    numbers = [wit.value, wit.epsilon_used, wit.plan.value, wit.plan.epsilon,
+               *wit.strategy.emphases]
+    assert [type(x) for x in numbers] == [float] * len(numbers)
