@@ -77,11 +77,16 @@ def thresholds(game: RankingGame, profile: StrategyProfile, player: int) -> tupl
     For n = 1 there are no opponents: every query reports cost 0 with
     tie_count 0, meaning the sole player wins everything for free.
     """
+    return _thresholds(game, profile, player, unit(game, profile))
+
+
+def _thresholds(
+    game: RankingGame, profile: StrategyProfile, player: int, one: Number
+) -> tuple[QueryThreshold, ...]:
     require_valid(game, profile)
     if not 0 <= player < game.n:
         raise DomainError(f"player {player} outside [0, {game.n})")
     f = game.f
-    one = unit(game, profile)
     zero = 0 * one
     out = []
     for j in range(game.m):
@@ -95,6 +100,8 @@ def thresholds(game: RankingGame, profile: StrategyProfile, player: int) -> tupl
         top = max(opp_scores)
         tie_count = sum(1 for s in opp_scores if numbers_equal(s, top))
         cost = f.inverse_increasing_geq(top)
+        if isinstance(one, float):
+            cost = float(cost)  # f returns its exact knots even in float mode
         at_cost = f(cost)
         beats = number_less(top, at_cost)
         top_is_peak = numbers_equal(top, f.max_score)
@@ -123,11 +130,11 @@ def best_response_value(game: RankingGame, profile: StrategyProfile, player: int
     that exhaust the budget exactly while still needing a strict win
     margin, and so may be approached but not reached.
     """
-    return _solve(game, profile, thresholds(game, profile, player))
-
-
-def _solve(game: RankingGame, profile: StrategyProfile, ths) -> BestResponse:
     one = unit(game, profile)
+    return _solve(game, _thresholds(game, profile, player, one), one)
+
+
+def _solve(game: RankingGame, ths, one: Number) -> BestResponse:
     if game.n == 1:
         m_val = game.m * one
         plan = DeviationPlan(frozenset(range(game.m)), frozenset(), m_val, 0 * one)
@@ -230,9 +237,10 @@ def best_response_witness(
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    ths = thresholds(game, profile, player)
-    br = _solve(game, profile, ths)
-    one = one_like(unit(game, profile), epsilon)
+    base = unit(game, profile)
+    ths = _thresholds(game, profile, player, base)
+    br = _solve(game, ths, base)
+    one = one_like(base, epsilon)
     zero = 0 * one
     eps = epsilon * one
 

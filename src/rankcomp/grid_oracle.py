@@ -2,7 +2,9 @@
 
 Strategies are restricted to emphases that are multiples of 1/g (still on
 the capped simplex); profiles are enumerated lexicographically, by default
-up to player-permutation symmetry.
+up to player-permutation symmetry.  :func:`grid_profiles` and both search
+modes share one enumeration, which checks the budget and builds the exact
+strategies once.
 
 ``exact`` mode streams the profile indices in int64 chunks through the
 float screen :func:`rankcomp.kernels.grid_screen`, inline or on a process
@@ -10,11 +12,12 @@ pool holding at most two chunks per worker, and confirms each survivor,
 in enumeration order, with exact rational best responses against
 *continuous* deviations.  A reported profile is therefore a genuine
 equilibrium of the full game, while an empty result only corroborates
-non-existence (equilibria may lie off-grid).  The screen scores with the
-tent, so ``exact`` mode refuses any other f.
+non-existence (equilibria may lie off-grid).  The screen scores through
+f's knots, so ``exact`` mode takes any single-peaked f.
 
-``grid`` mode checks deviations restricted to grid strategies, accepts
-any f, and is diagnostic only: it can accept spurious profiles.
+``grid`` mode checks deviations restricted to grid strategies (n·S
+utility evaluations per profile, all counted against the budget) and is
+diagnostic only: it can accept spurious profiles.
 """
 
 from __future__ import annotations
@@ -97,41 +100,44 @@ def grid_strategies(spec: GridSpec) -> list[tuple[int, ...]]:
     return out
 
 
-def _strategy_vector(nums: tuple[int, ...], g: int) -> EmphasisVector:
-    return EmphasisVector([Fraction(c, g) for c in nums])
-
-
 def _index_profiles(spec: GridSpec, count: int):
     if spec.symmetry:
         return combinations_with_replacement(range(count), spec.n)
     return product(range(count), repeat=spec.n)
 
 
-def grid_profiles(spec: GridSpec):
-    """Enumerate grid StrategyProfiles (respecting the symmetry flag)."""
-    total = profile_count(spec)
-    if total > spec.budget:
-        raise CapacityError(
-            f"{total} grid profiles exceed the budget of {spec.budget}"
-        )
-    strategies = [_strategy_vector(s, spec.g) for s in grid_strategies(spec)]
-    for idx in _index_profiles(spec, len(strategies)):
+def _strategies(spec: GridSpec, work: int = 1) -> list[EmphasisVector]:
+    """The grid's exact strategies, once ``work`` checks per profile fit the budget."""
+    count = profile_count(spec)
+    if count * work > spec.budget:
+        each = f" at {work} utility evaluations each" if work > 1 else ""
+        raise CapacityError(f"{count} grid profiles{each} exceed the budget of {spec.budget}")
+    return [EmphasisVector([Fraction(c, spec.g) for c in s]) for s in grid_strategies(spec)]
+
+
+def _profiles(strategies: list[EmphasisVector], index):
+    for idx in index:
         yield StrategyProfile([strategies[i] for i in idx])
 
 
-def _screen_survivors(spec: GridSpec, jobs: int = 1):
-    """Float-screen every grid profile, yield surviving index tuples in order.
+def grid_profiles(spec: GridSpec):
+    """Enumerate grid StrategyProfiles (respecting the symmetry flag)."""
+    strategies = _strategies(spec)
+    yield from _profiles(strategies, _index_profiles(spec, len(strategies)))
+
+
+def _screen_survivors(spec: GridSpec, strategies, f: SinglePeakFunction, jobs: int = 1):
+    """Float-screen every grid profile under f, yield surviving index tuples in order.
 
     Profiles are cut into int64 chunks of at most ``_CHUNK_ROWS`` rows.
     With ``jobs > 1`` the chunks go to a process pool that holds at most
     ``2 * jobs`` of them at a time, so memory stays bounded.
     """
-    strat = np.array(grid_strategies(spec), dtype=np.float64) / spec.g
-    peak = float(spec.peak)
+    strat = np.array([v.emphases for v in strategies], dtype=np.float64)
     chunks = _index_chunks(spec, strat.shape[0])
     if jobs <= 1:
         for prof in chunks:
-            yield from _survivors(strat, prof, peak)
+            yield from _survivors(strat, prof, f)
         return
     from concurrent.futures import ProcessPoolExecutor
 
@@ -140,7 +146,7 @@ def _screen_survivors(spec: GridSpec, jobs: int = 1):
         for prof in chunks:
             if len(pending) >= 2 * jobs:
                 yield from pending.popleft().result()
-            pending.append(pool.submit(_survivors, strat, prof, peak))
+            pending.append(pool.submit(_survivors, strat, prof, f))
         while pending:
             yield from pending.popleft().result()
 
@@ -155,9 +161,18 @@ def _index_chunks(spec: GridSpec, count: int):
         yield prof
 
 
-def _survivors(strat, prof, peak) -> list[tuple[int, ...]]:
-    keep = kernels.grid_screen(strat, prof, peak).astype(bool)
+def _survivors(strat, prof, f) -> list[tuple[int, ...]]:
+    keep = kernels.grid_screen(strat, prof, f).astype(bool)
     return [tuple(idx) for idx in prof[keep].tolist()]
+
+
+_NOTES = {
+    "exact": (
+        "grid profiles passing the exact check are genuine equilibria of the continuous game",
+        "an empty result corroborates but does not prove non-existence",
+    ),
+    "grid": ("grid mode checks grid deviations only and may accept spurious profiles",),
+}
 
 
 def grid_nash_search(
@@ -171,59 +186,25 @@ def grid_nash_search(
         raise DomainError("game and grid spec disagree on n or m")
     if game.peak != spec.peak:
         raise DomainError("game and grid spec disagree on the peak")
-    total = profile_count(spec)
-    if total > spec.budget:
-        raise CapacityError(f"{total} grid profiles exceed the budget of {spec.budget}")
-    s_count = strategy_count(spec)
-
+    if deviation_mode not in _NOTES:
+        raise DomainError(f"unknown deviation mode {deviation_mode!r}")
     if deviation_mode == "exact":
-        if game.f != SinglePeakFunction.tent(game.peak):
-            raise DomainError("exact mode screens with tent scoring; use grid mode for other f")
-        numerators = grid_strategies(spec)
-        strategies = [_strategy_vector(s, spec.g) for s in numerators]
-        found = []
-        for idx in _screen_survivors(spec, jobs):
-            profile = StrategyProfile([strategies[i] for i in idx])
-            if verify_nash(game, profile).is_nash:
-                found.append(profile)
-        notes = (
-            "grid profiles passing the exact check are genuine equilibria of the continuous game",
-            "an empty result corroborates but does not prove non-existence",
-        )
-        return GridSearchResult(
-            equilibria=tuple(found),
-            profiles_checked=total,
-            strategy_count=s_count,
-            mode="exact",
-            symmetry=spec.symmetry,
-            notes=notes,
-        )
-
-    if deviation_mode == "grid":
-        strategies = [_strategy_vector(s, spec.g) for s in grid_strategies(spec)]
-        alt_cost = total * spec.n * len(strategies)
-        if alt_cost > spec.budget:
-            raise CapacityError(
-                f"grid-deviation check needs {alt_cost} utility evaluations, over budget"
-            )
-        found = []
-        for idx in _index_profiles(spec, len(strategies)):
-            profile = StrategyProfile([strategies[i] for i in idx])
-            if _grid_stable(game, profile, strategies):
-                found.append(profile)
-        notes = (
-            "grid mode checks grid deviations only and may accept spurious profiles",
-        )
-        return GridSearchResult(
-            equilibria=tuple(found),
-            profiles_checked=total,
-            strategy_count=s_count,
-            mode="grid",
-            symmetry=spec.symmetry,
-            notes=notes,
-        )
-
-    raise DomainError(f"unknown deviation mode {deviation_mode!r}")
+        strategies = _strategies(spec)
+        screened = _profiles(strategies, _screen_survivors(spec, strategies, game.f, jobs))
+        found = [p for p in screened if verify_nash(game, p).is_nash]
+    else:
+        # every player tries every grid strategy against each profile
+        strategies = _strategies(spec, work=spec.n * strategy_count(spec))
+        every = _profiles(strategies, _index_profiles(spec, len(strategies)))
+        found = [p for p in every if _grid_stable(game, p, strategies)]
+    return GridSearchResult(
+        equilibria=tuple(found),
+        profiles_checked=profile_count(spec),
+        strategy_count=len(strategies),
+        mode=deviation_mode,
+        symmetry=spec.symmetry,
+        notes=_NOTES[deviation_mode],
+    )
 
 
 def _grid_stable(game, profile, strategies) -> bool:

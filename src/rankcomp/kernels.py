@@ -4,9 +4,9 @@ Two inner loops dominate runtime: screening millions of grid profiles for
 equilibrium candidates, and the proximal-gradient fits inside the
 cross-validation protocol.  Each is one vectorized numpy function.
 
-``grid_screen`` scores a chunk of grid profiles with the tent and asks,
-for every player, whether some subset of queries to invest in beats the
-player's current utility (the invest-set model of
+``grid_screen`` scores a chunk of grid profiles through f's knots and
+asks, for every player, whether some subset of queries to invest in
+beats the player's current utility (the invest-set model of
 :mod:`rankcomp.best_response`, over 2^m sets).  It is float arithmetic
 over quantities whose exact values are rationals with small
 denominators, so a 1e-9 acceptance margin cannot misclassify; accepted
@@ -30,40 +30,41 @@ _MARGIN = 1e-9  # attained-vs-current acceptance margin for the screen
 
 
 # ---------------------------------------------------------------------------
-# grid screen: tent scoring, per-profile attained best response vs current
+# grid screen: scoring through f, per-profile attained best response vs current
 # ---------------------------------------------------------------------------
 
 
-def grid_screen(strat: np.ndarray, prof: np.ndarray, peak: float) -> np.ndarray:
+def grid_screen(strat: np.ndarray, prof: np.ndarray, f) -> np.ndarray:
     """Flag the profiles where no player has an improving deviation.
 
     strat: (S, m) float emphases of the distinct grid strategies
     prof:  (P, n) int indices into strat
+    f:     the :class:`~rankcomp.game.SinglePeakFunction` scoring every query
     Returns (P,) uint8, 1 where the profile survives the screen.
 
-    A deviation invests in a set of queries; a tie and a solo on a query
+    Scores are f interpolated on its float knots; a query's cost is the
+    increasing-branch inverse at the top opponent score (0 at or below
+    f(0)).  Zero spend wins a top below f(0) and ties one at f(0).  A
+    deviation invests in a set of queries; a tie and a solo on a query
     cost the same, so within an affordable set every query takes its
-    better role: a solo where the top opponent is beatable, else a tie.
-    Solos need a margin under the unit budget, so a set costing 1 (within
-    ``_EQ_TOL``) can only tie, and a dearer set is infeasible.  Each sum
-    adds its terms in query order, so a set's value is bitwise the best of
-    its per-query role choices.
+    better role: a solo where the top opponent is below f(peak), else a
+    tie.  Solos need a margin under the unit budget, so a set costing 1
+    (within ``_EQ_TOL``) can only tie, and a dearer set is infeasible.
+    Each sum adds its terms in query order, so a set's value is bitwise
+    the best of its per-query role choices.
     """
     strat = np.asarray(strat, dtype=np.float64)
     prof = np.asarray(prof, dtype=np.int64)
     P, n = prof.shape
     m = strat.shape[1]
-    emph = strat[prof]  # (P, n, m)
-    if peak <= 0.0:
-        scores = 1.0 - emph
-    elif peak >= 1.0:
-        scores = emph.copy()
-    else:
-        scores = np.where(emph <= peak, emph / peak, (1.0 - emph) / (1.0 - peak))
-
     ok = np.ones(P, dtype=bool)
     if n == 1:
         return ok.astype(np.uint8)
+    xs, ys = np.array(f.knots, dtype=np.float64).T
+    rise = [x for x, _ in f.knots].index(f.peak) + 1  # knots up to the peak
+    f0, f_peak = ys[0], ys[rise - 1]
+    scores = np.interp(strat, xs, ys)[prof]  # (P, n, m)
+
     cost = np.empty(P)
     open_value = np.empty(P)
     tie_value = np.empty(P)
@@ -79,9 +80,11 @@ def grid_screen(strat: np.ndarray, prof: np.ndarray, peak: float) -> np.ndarray:
         tie_share = 1.0 / (cnt + 1)
         # per-query rows, (m, P): the cost to reach the top opponent, the
         # value of skipping and of the better role once paid for
-        costs = np.ascontiguousarray(np.where(top > 0.0, top * peak, 0.0).T)
-        zero_val = np.ascontiguousarray(np.where(top <= _EQ_TOL, tie_share, 0.0).T)
-        open_share = np.ascontiguousarray(np.where(top < 1.0 - _EQ_TOL, 1.0, tie_share).T)
+        costs = np.ascontiguousarray(np.interp(top, ys[:rise], xs[:rise]).T)
+        zero_val = np.ascontiguousarray(
+            np.where(top < f0 - _EQ_TOL, 1.0, np.where(top <= f0 + _EQ_TOL, tie_share, 0.0)).T
+        )
+        open_share = np.ascontiguousarray(np.where(top < f_peak - _EQ_TOL, 1.0, tie_share).T)
         tie_share = np.ascontiguousarray(tie_share.T)
 
         best.fill(0.0)

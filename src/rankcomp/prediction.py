@@ -139,12 +139,21 @@ def build_instances(
     Instances come in triple order.  Documents and statistics come from
     one ``topic_corpus`` per run of consecutive triples on the same
     topic, so a topic's texts are tokenized once when its triples are
-    contiguous (as ``filter_for_prediction`` returns them).
+    contiguous (as ``filter_for_prediction`` returns them).  Likewise the
+    tf.idf vectors and the winners' centroid are computed once per run of
+    triples on the same (topic, l).
     """
     if triples is None:
         triples = filter_for_prediction(log)
     out: list[PredictionInstance] = []
     corpus_topic: Optional[str] = None
+    round_key: Optional[tuple[str, int]] = None
+
+    def vector(r: int, pub: str) -> dict[str, float]:
+        # the round's tf.idf vectors, each computed once against stats(l)
+        if (r, pub) not in vectors:
+            vectors[r, pub] = tfidf_vector(corpus.doc(r, pub), stats)
+        return vectors[r, pub]
 
     for triple in triples:
         topic = log.topic(triple.topic_id)
@@ -160,24 +169,25 @@ def build_instances(
         if corpus_topic != topic.topic_id:
             corpus = topic_corpus(topic)
             corpus_topic = topic.topic_id
-        stats = corpus.stats(l)
+        if round_key != (topic.topic_id, l):
+            # vectors and the centroid depend on (topic, l) only
+            round_key = (topic.topic_id, l)
+            stats = corpus.stats(l)
+            vectors: dict[tuple[int, str], dict[str, float]] = {}
+            # centroid of the previous round's distinct winning documents
+            distinct_winners = sorted({prev.winner(j) for j in range(m)})
+            centroid: dict[str, float] = {}
+            for pub in distinct_winners:
+                for t, v in vector(l - 1, pub).items():
+                    centroid[t] = centroid.get(t, 0.0) + v
+            centroid = {t: v / len(distinct_winners) for t, v in centroid.items()}
 
         query_doc = tokenize(topic.queries[q])
         query_terms = frozenset(query_doc.tokens)
         stop_terms = frozenset(stopwords) - query_terms  # query terms take precedence
         winner_prev = prev.winner(q)
-        winner_doc = corpus.doc(l - 1, winner_prev)
-        winner_terms = frozenset(winner_doc.term_counts)
-        winner_vec = tfidf_vector(winner_doc, stats)
-
-        # centroid of the previous round's distinct winning documents
-        distinct_winners = sorted({prev.winner(j) for j in range(m)})
-        centroid: dict[str, float] = {}
-        for pub in distinct_winners:
-            vec = tfidf_vector(corpus.doc(l - 1, pub), stats)
-            for t, v in vec.items():
-                centroid[t] = centroid.get(t, 0.0) + v
-        centroid = {t: v / len(distinct_winners) for t, v in centroid.items()}
+        winner_terms = frozenset(corpus.doc(l - 1, winner_prev).term_counts)
+        winner_vec = vector(l - 1, winner_prev)
 
         candidates = [pub for pub in prev.rankings[q] if pub != winner_prev]
         for pub in candidates:
@@ -192,8 +202,8 @@ def build_instances(
             for group in (query_terms, stop_terms, other_terms):
                 micro.extend(_micro_counts(now_terms, prev_terms, winner_terms, group))
 
-            now_vec = tfidf_vector(doc_now, stats)
-            prev_vec = tfidf_vector(doc_prev, stats)
+            now_vec = vector(l, pub)
+            prev_vec = vector(l - 1, pub)
             macro = [
                 cosine(now_vec, prev_vec),
                 cosine(now_vec, winner_vec),

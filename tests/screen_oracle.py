@@ -1,25 +1,17 @@
 """Reference grid screen by walking all 3^m per-query role combinations.
 
 Test-only oracle for :func:`rankcomp.kernels.grid_screen`.  A scalar loop
-over profiles and players: each query is skipped, tied or taken solo
-(solo only where the top opponent is beatable, and only with budget to
-spare), and a profile survives when no player's best combination beats
-its current utility by more than the screen's margin.
+over profiles and players, scoring with f's own evaluation and branch
+inverse: each query is skipped, tied or taken solo (solo only where the
+top opponent is below f(peak), and only with budget to spare), skipping
+wins a top below f(0) and ties one at f(0), and a profile survives when
+no player's best combination beats its current utility by more than the
+screen's margin.
 """
 
 import numpy as np
 
 from rankcomp.kernels import _EQ_TOL, _MARGIN
-
-
-def _tent(x, peak):
-    if peak <= 0.0:
-        return 1.0 - x
-    if peak >= 1.0:
-        return x
-    if x <= peak:
-        return x / peak
-    return (1.0 - x) / (1.0 - peak)
 
 
 def _best_deviation(costs, tie_share, solo_ok, zero_val):
@@ -50,12 +42,13 @@ def _best_deviation(costs, tie_share, solo_ok, zero_val):
     return best
 
 
-def screen_oracle(strat, prof, peak) -> np.ndarray:
+def screen_oracle(strat, prof, f) -> np.ndarray:
     strat = np.asarray(strat, dtype=np.float64).tolist()
     prof = np.asarray(prof, dtype=np.int64).tolist()
+    f0, f_peak = float(f(0)), float(f.max_score)
     out = np.zeros(len(prof), dtype=np.uint8)
     for p, row in enumerate(prof):
-        scores = [[_tent(x, peak) for x in strat[k]] for k in row]
+        scores = [[float(f(x)) for x in strat[k]] for k in row]
         n, m = len(scores), len(scores[0])
         ok = True
         for i in range(n):
@@ -76,10 +69,13 @@ def screen_oracle(strat, prof, peak) -> np.ndarray:
                     current += 1.0
                 elif own > top - _EQ_TOL:
                     current += 1.0 / (cnt + 1)
-                costs.append(top * peak if top > 0.0 else 0.0)
+                costs.append(float(f.inverse_increasing_geq(min(top, f_peak))))
                 tie_share.append(1.0 / (cnt + 1))
-                solo_ok.append(top < 1.0 - _EQ_TOL)
-                zero_val.append(tie_share[q] if top <= _EQ_TOL else 0.0)
+                solo_ok.append(top < f_peak - _EQ_TOL)
+                if top < f0 - _EQ_TOL:
+                    zero_val.append(1.0)
+                else:
+                    zero_val.append(tie_share[q] if top <= f0 + _EQ_TOL else 0.0)
             if _best_deviation(costs, tie_share, solo_ok, zero_val) > current + _MARGIN:
                 ok = False
                 break

@@ -58,6 +58,17 @@ class TestThresholds:
         ths = thresholds(game, StrategyProfile([[F(0)] * 3]), 0)
         assert all(t.cost == 0 and t.tie_count == 0 for t in ths)
 
+    def test_float_profile_gives_float_costs_against_exact_knots(self):
+        # the opponent sits on f's exact knots (the peak, and zero as an int),
+        # yet a float profile keeps every number the thresholds report float
+        game = RankingGame.tent(2, 3, F(1, 2))
+        profile = StrategyProfile([[0.5, 0.25, 0], [0.5, 0, 0.25]])
+        ths = thresholds(game, profile, 1)
+        assert [t.cost for t in ths] == [0.5, 0.25, 0.0]
+        for t in ths:
+            assert type(t.cost) is float
+            assert type(t.zero_value) is float
+
 
 class TestBestResponseValue:
     def test_value_two_against_a_peak_pinning_document(self):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rankcomp import kernels
+from rankcomp.best_response import best_response_value
 from rankcomp.equilibria import construct_equilibrium, verify_nash
-from rankcomp.game import RankingGame, SinglePeakFunction, StrategyProfile
+from rankcomp.game import RankingGame, SinglePeakFunction, StrategyProfile, utilities
 from rankcomp.grid_oracle import (
     GridSpec,
     grid_nash_search,
@@ -14,7 +15,8 @@ from rankcomp.grid_oracle import (
     profile_count,
     strategy_count,
 )
-from rankcomp.numeric import CapacityError, DomainError
+from rankcomp.numeric import CapacityError, improves
+from conftest import FLOOR_F, SKEWED_F
 from screen_oracle import screen_oracle
 
 
@@ -101,16 +103,29 @@ class TestExactSearch:
         grid_set = {tuple(v.emphases for v in p.strategies) for p in grid.equilibria}
         assert exact_set <= grid_set
 
-    def test_exact_mode_rejects_non_tent_function(self):
-        f = SinglePeakFunction(
-            knots=((F(0), F(0)), (F(1, 4), F(3, 4)), (F(1, 2), F(1)), (F(1), F(0))),
-            peak=F(1, 2),
-        )
-        game = RankingGame(n=2, m=2, f=f)
-        spec = GridSpec(g=2, n=2, m=2, peak=F(1, 2))
-        with pytest.raises(DomainError):
-            grid_nash_search(game, spec, deviation_mode="exact")
-        assert grid_nash_search(game, spec, deviation_mode="grid").mode == "grid"
+    def test_exact_mode_equals_brute_force_on_non_tent_functions(self):
+        # the screen scores through f, so it keeps every profile that exact
+        # verification over the whole grid accepts; FLOOR_F has f(0) = 2/5,
+        # so zero emphasis wins outright against tail emphases
+        def is_nash(game, profile):
+            # verify_nash's decision, without witnesses for improving players
+            current = utilities(game, profile)
+            return not any(
+                improves(best_response_value(game, profile, i).attained_value, current[i])
+                for i in range(game.n)
+            )
+
+        for f in (SKEWED_F, FLOOR_F):
+            found = 0
+            for n, m, g in [(2, 2, 10), (2, 3, 5), (3, 2, 5), (3, 3, 3), (2, 4, 4)]:
+                game = RankingGame(n=n, m=m, f=f)
+                spec = GridSpec(g=g, n=n, m=m, peak=f.peak)
+                brute = tuple(p for p in grid_profiles(spec) if is_nash(game, p))
+                exact = grid_nash_search(game, spec, deviation_mode="exact").equilibria
+                assert exact == brute
+                assert all(verify_nash(game, p).is_nash for p in exact)
+                found += len(exact)
+            assert found
 
     def test_parallel_jobs_match_serial(self):
         for n, m, g, peak, symmetry in [
@@ -167,9 +182,10 @@ class TestExactSearch:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(grid_oracle, "_CHUNK_ROWS", 7)
         spec = GridSpec(g=3, n=2, m=3, peak=F(1, 3))
+        strategies, f = grid_oracle._strategies(spec), SinglePeakFunction.tent(spec.peak)
         jobs = 2
-        serial = list(grid_oracle._screen_survivors(spec, jobs=1))
-        parallel = list(grid_oracle._screen_survivors(spec, jobs=jobs))
+        serial = list(grid_oracle._screen_survivors(spec, strategies, f, jobs=1))
+        parallel = list(grid_oracle._screen_survivors(spec, strategies, f, jobs=jobs))
         assert len(in_flight) == -(-profile_count(spec) // 7)  # one submit per chunk
         assert max(in_flight) == 2 * jobs
         assert serial and parallel == serial
@@ -187,23 +203,26 @@ class TestKernelBackends:
         return strat, prof
 
     def test_screen_equals_role_combination_oracle(self):
-        # the 2^m invest-set screen decides exactly as the 3^m role walk
-        rng = np.random.default_rng(7)
+        # the 2^m invest-set screen decides exactly as the 3^m role walk,
+        # for the tent at every peak kind and for non-tent shapes
+        tents = [SinglePeakFunction.tent(peak) for peak in (0.0, 1.0, 1 / 3, 0.5, 0.8)]
         kept = total = 0
-        for n in range(1, 5):
-            for m in range(1, 5):
-                for peak in (0.0, 1.0, 1 / 3, 0.5, 0.8):
-                    fine = self._random_inputs(rng, n, m, S=30, P=40)
-                    g = int(rng.integers(1, 4))  # tie-heavy coarse grid
-                    nums = grid_strategies(GridSpec(g=g, n=n, m=m, peak=F(1, 2)))
-                    coarse = np.array(nums, dtype=np.float64) / g
-                    coarse_prof = rng.integers(0, len(nums), size=(40, n))
-                    for strat, prof in (fine, (coarse, coarse_prof)):
-                        mask = kernels.grid_screen(strat, prof, peak)
-                        assert mask.dtype == np.uint8
-                        assert np.array_equal(mask, screen_oracle(strat, prof, peak))
-                        kept += int(mask.sum())
-                        total += len(mask)
+        for seed, shapes in ((7, tents), (9, [SKEWED_F, FLOOR_F])):
+            rng = np.random.default_rng(seed)
+            for n in range(1, 5):
+                for m in range(1, 5):
+                    for f in shapes:
+                        fine = self._random_inputs(rng, n, m, S=30, P=40)
+                        g = int(rng.integers(1, 4))  # tie-heavy coarse grid
+                        nums = grid_strategies(GridSpec(g=g, n=n, m=m, peak=F(1, 2)))
+                        coarse = np.array(nums, dtype=np.float64) / g
+                        coarse_prof = rng.integers(0, len(nums), size=(40, n))
+                        for strat, prof in (fine, (coarse, coarse_prof)):
+                            mask = kernels.grid_screen(strat, prof, f)
+                            assert mask.dtype == np.uint8
+                            assert np.array_equal(mask, screen_oracle(strat, prof, f))
+                            kept += int(mask.sum())
+                            total += len(mask)
         assert 0 < kept < total
 
     def test_batched_logreg_fit_equals_single_fits(self):
@@ -230,7 +249,7 @@ class TestKernelBackends:
         from itertools import combinations_with_replacement
 
         idx = list(combinations_with_replacement(range(len(strategies)), 2))
-        mask = kernels.grid_screen(strat, np.array(idx, dtype=np.int64), float(peak))
+        mask = kernels.grid_screen(strat, np.array(idx, dtype=np.int64), game.f)
         profiles = list(grid_profiles(spec))
         for keep, prof in zip(mask, profiles):
             exact = verify_nash(game, prof).is_nash
