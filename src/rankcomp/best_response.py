@@ -101,7 +101,7 @@ def _thresholds(
         tie_count = sum(1 for s in opp_scores if numbers_equal(s, top))
         cost = f.inverse_increasing_geq(top)
         if isinstance(one, float):
-            cost = float(cost)  # f returns its exact knots even in float mode
+            cost = float(cost)  # exact opponent scores price exactly, the profile is float
         at_cost = f(cost)
         beats = number_less(top, at_cost)
         top_is_peak = numbers_equal(top, f.max_score)

@@ -20,6 +20,7 @@ from .numeric import (
     DomainError,
     Number,
     dual_view,
+    is_exact,
     numbers_equal,
     one_like,
     parse_number,
@@ -84,15 +85,16 @@ class SinglePeakFunction:
         return self(self.peak)
 
     def __call__(self, x: Number) -> Number:
+        """f(x); a float x gets a float score, on a knot too."""
         if not 0 <= x <= 1:
             raise DomainError(f"emphasis {x} outside [0, 1]")
         ks = self.knots
         for (x0, y0), (x1, y1) in zip(ks, ks[1:]):
             if x <= x1:
                 if x == x0:
-                    return y0
+                    return float(y0) if isinstance(x, float) else y0
                 if x == x1:
-                    return y1
+                    return float(y1) if isinstance(x, float) else y1
                 return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
         return ks[-1][1]
 
@@ -102,20 +104,20 @@ class SinglePeakFunction:
         This is the branch inverse used to price beating a given score:
         with target = f(e) for some opponent emphasis e, the result is the
         cheapest emphasis achieving at least that score.  Requires
-        target <= f(peak).
+        target <= f(peak).  A float target gets a float emphasis.
         """
         if target > self.max_score:
             raise DomainError("target exceeds the maximum score")
         ks = self.knots
         x0, y0 = ks[0]
         if y0 >= target:
-            return x0
+            return float(x0) if isinstance(target, float) else x0
         for (xa, ya), (xb, yb) in zip(ks, ks[1:]):
             if xa >= self.peak:
                 break
             if yb >= target:
                 return xa + (target - ya) * (xb - xa) / (yb - ya)
-        return self.peak
+        return float(self.peak) if isinstance(target, float) else self.peak
 
 
 @dataclass(frozen=True)
@@ -226,8 +228,14 @@ def score(game: RankingGame, strategy: EmphasisVector, query_index: int) -> Numb
 
 
 def induce_ranking(game: RankingGame, profile: StrategyProfile, query_index: int) -> InducedRanking:
-    """Rank players by descending score; equal scores share a tie group."""
+    """Rank players by descending score; equal scores share a tie group.
+
+    The scores share one mode: when any of them is a float (a float
+    emphasis or knot), all are reported as floats.
+    """
     scores = [(score(game, profile[i], query_index), i) for i in range(game.n)]
+    if not is_exact(*(s for s, _ in scores)):
+        scores = [(float(s), i) for s, i in scores]
     # stable two-pass sort keeps exact rationals exact: by id, then score desc
     scores.sort(key=lambda t: t[1])
     scores.sort(key=lambda t: t[0], reverse=True)

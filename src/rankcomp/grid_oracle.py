@@ -6,14 +6,23 @@ up to player-permutation symmetry.  :func:`grid_profiles` and both search
 modes share one enumeration, which checks the budget and builds the exact
 strategies once.
 
-``exact`` mode streams the profile indices in int64 chunks through the
-float screen :func:`rankcomp.kernels.grid_screen`, inline or on a process
-pool holding at most two chunks per worker, and confirms each survivor,
-in enumeration order, with exact rational best responses against
-*continuous* deviations.  A reported profile is therefore a genuine
-equilibrium of the full game, while an empty result only corroborates
-non-existence (equilibria may lie off-grid).  The screen scores through
-f's knots, so ``exact`` mode takes any single-peaked f.
+``exact`` mode first builds one best-deviation table, a player's best
+invest-set value against each multiset of n - 1 opponent strategies
+(:func:`rankcomp.kernels.best_deviation`, chunk by chunk over the
+multisets).  It then streams the profile indices in int64 chunks through
+the float screen :func:`rankcomp.kernels.grid_screen`, which gathers
+each player's table row, inline or on a process pool holding at most two
+chunks per worker, and confirms each survivor, in enumeration order,
+with exact rational best responses against *continuous* deviations.  A
+reported profile is therefore a genuine equilibrium of the full game,
+while an empty result only corroborates non-existence (equilibria may
+lie off-grid).  The screen scores through f's knots, so ``exact`` mode
+takes any single-peaked f.
+
+The enumeration is numpy throughout: a chunk is a range of row numbers,
+unranked to index tuples (:func:`rankcomp.kernels.multiset_unrank` for
+the symmetric order, base-S digits for the product order), so no array
+ever holds one row per profile.
 
 ``grid`` mode checks deviations restricted to grid strategies (n·S
 utility evaluations per profile, all counted against the budget) and is
@@ -25,7 +34,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice, product
 from math import comb
 
 import numpy as np
@@ -100,12 +108,6 @@ def grid_strategies(spec: GridSpec) -> list[tuple[int, ...]]:
     return out
 
 
-def _index_profiles(spec: GridSpec, count: int):
-    if spec.symmetry:
-        return combinations_with_replacement(range(count), spec.n)
-    return product(range(count), repeat=spec.n)
-
-
 def _strategies(spec: GridSpec, work: int = 1) -> list[EmphasisVector]:
     """The grid's exact strategies, once ``work`` checks per profile fit the budget."""
     count = profile_count(spec)
@@ -120,24 +122,65 @@ def _profiles(strategies: list[EmphasisVector], index):
         yield StrategyProfile([strategies[i] for i in idx])
 
 
+def _index_chunks(count: int, k: int, symmetric: bool):
+    """Every k-tuple of indices into ``count`` strategies, in int64 chunks.
+
+    Symmetric mode yields the non-decreasing tuples in lexicographic
+    (``combinations_with_replacement``) order, otherwise all tuples in
+    ``product`` order.  Each chunk holds at most ``_CHUNK_ROWS`` rows and
+    unranks its own row numbers, so no array grows with the total.
+    """
+    total = comb(count + k - 1, k) if symmetric else count**k
+    for start in range(0, total, _CHUNK_ROWS):
+        rank = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
+        if symmetric:
+            yield kernels.multiset_unrank(rank, count, k)
+        else:
+            yield np.stack(np.unravel_index(rank, (count,) * k), axis=1)
+
+
+def _index_rows(spec: GridSpec, count: int):
+    for chunk in _index_chunks(count, spec.n, spec.symmetry):
+        yield from chunk.tolist()
+
+
 def grid_profiles(spec: GridSpec):
     """Enumerate grid StrategyProfiles (respecting the symmetry flag)."""
     strategies = _strategies(spec)
-    yield from _profiles(strategies, _index_profiles(spec, len(strategies)))
+    yield from _profiles(strategies, _index_rows(spec, len(strategies)))
+
+
+def _deviation_table(strat: np.ndarray, n: int, f: SinglePeakFunction) -> np.ndarray:
+    """Best deviation against every (n - 1)-multiset of strategies, in rank order.
+
+    Built chunk by chunk over the multisets, so the only array of full
+    length is the table itself, C(S + n - 2, n - 1) floats.
+    """
+    if n == 1:
+        return np.zeros(0)
+    S = strat.shape[0]
+    best = np.empty(comb(S + n - 2, n - 1))
+    start = 0
+    for opp in _index_chunks(S, n - 1, symmetric=True):
+        best[start : start + opp.shape[0]] = kernels.best_deviation(strat, opp, f)
+        start += opp.shape[0]
+    return best
 
 
 def _screen_survivors(spec: GridSpec, strategies, f: SinglePeakFunction, jobs: int = 1):
     """Float-screen every grid profile under f, yield surviving index tuples in order.
 
-    Profiles are cut into int64 chunks of at most ``_CHUNK_ROWS`` rows.
-    With ``jobs > 1`` the chunks go to a process pool that holds at most
-    ``2 * jobs`` of them at a time, so memory stays bounded.
+    Profiles are cut into int64 chunks of at most ``_CHUNK_ROWS`` rows and
+    screened against one best-deviation table.  With ``jobs > 1`` the
+    chunks go to a process pool that holds at most ``2 * jobs`` of them at
+    a time, so memory stays bounded.
     """
     strat = np.array([v.emphases for v in strategies], dtype=np.float64)
-    chunks = _index_chunks(spec, strat.shape[0])
+    best = _deviation_table(strat, spec.n, f)
+    chunks = _index_chunks(strat.shape[0], spec.n, spec.symmetry)
     if jobs <= 1:
         for prof in chunks:
-            yield from _survivors(strat, prof, f)
+            yield from _survivors(strat, prof, f, best)
         return
     from concurrent.futures import ProcessPoolExecutor
 
@@ -146,23 +189,13 @@ def _screen_survivors(spec: GridSpec, strategies, f: SinglePeakFunction, jobs: i
         for prof in chunks:
             if len(pending) >= 2 * jobs:
                 yield from pending.popleft().result()
-            pending.append(pool.submit(_survivors, strat, prof, f))
+            pending.append(pool.submit(_survivors, strat, prof, f, best))
         while pending:
             yield from pending.popleft().result()
 
 
-def _index_chunks(spec: GridSpec, count: int):
-    index = _index_profiles(spec, count)
-    row = np.dtype((np.int64, spec.n))
-    while True:
-        prof = np.fromiter(islice(index, _CHUNK_ROWS), dtype=row)
-        if not prof.shape[0]:
-            return
-        yield prof
-
-
-def _survivors(strat, prof, f) -> list[tuple[int, ...]]:
-    keep = kernels.grid_screen(strat, prof, f).astype(bool)
+def _survivors(strat, prof, f, best) -> list[tuple[int, ...]]:
+    keep = kernels.grid_screen(strat, prof, f, best).astype(bool)
     return [tuple(idx) for idx in prof[keep].tolist()]
 
 
@@ -195,7 +228,7 @@ def grid_nash_search(
     else:
         # every player tries every grid strategy against each profile
         strategies = _strategies(spec, work=spec.n * strategy_count(spec))
-        every = _profiles(strategies, _index_profiles(spec, len(strategies)))
+        every = _profiles(strategies, _index_rows(spec, len(strategies)))
         found = [p for p in every if _grid_stable(game, p, strategies)]
     return GridSearchResult(
         equilibria=tuple(found),

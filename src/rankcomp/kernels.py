@@ -4,10 +4,18 @@ Two inner loops dominate runtime: screening millions of grid profiles for
 equilibrium candidates, and the proximal-gradient fits inside the
 cross-validation protocol.  Each is one vectorized numpy function.
 
-``grid_screen`` scores a chunk of grid profiles through f's knots and
-asks, for every player, whether some subset of queries to invest in
-beats the player's current utility (the invest-set model of
-:mod:`rankcomp.best_response`, over 2^m sets).  It is float arithmetic
+The screen asks, for every player of every grid profile, whether some
+subset of queries to invest in beats the player's current utility (the
+invest-set model of :mod:`rankcomp.best_response`, over 2^m sets).  A
+player's best deviation depends only on the multiset of its opponents'
+strategies, as in anonymous games, so ``best_deviation`` walks the 2^m
+sets once per opponent multiset, C(S + n - 2, n - 1) of them for S grid
+strategies, and the caller stores the values as one table in
+lexicographic multiset order.  ``grid_screen`` then takes a chunk of
+profiles, ranks each player's sorted opponents to a table row with
+exact int64 combinatorics (``multiset_rank``, the inverse of the
+enumeration's ``multiset_unrank``), gathers the best deviation and
+compares it with the player's current utility.  It is float arithmetic
 over quantities whose exact values are rationals with small
 denominators, so a 1e-9 acceptance margin cannot misclassify; accepted
 profiles are re-verified exactly by the caller.
@@ -30,17 +38,73 @@ _MARGIN = 1e-9  # attained-vs-current acceptance margin for the screen
 
 
 # ---------------------------------------------------------------------------
-# grid screen: scoring through f, per-profile attained best response vs current
+# grid screen: one best-deviation table per opponent multiset, then a gather
 # ---------------------------------------------------------------------------
 
 
-def grid_screen(strat: np.ndarray, prof: np.ndarray, f) -> np.ndarray:
-    """Flag the profiles where no player has an improving deviation.
+def _multiset_counts(S: int, k: int) -> np.ndarray:
+    """(k, S + 1) int64 table whose row L holds C(u + L, L + 1) at column u.
+
+    That is the number of non-decreasing (L + 1)-tuples over u values.
+    Rows are cumulative sums of the row above, exact in int64 for any
+    count within the grid budget.
+    """
+    counts = np.zeros((k, S + 1), dtype=np.int64)
+    counts[0] = np.arange(S + 1)
+    for L in range(1, k):
+        np.cumsum(counts[L - 1, 1:], out=counts[L, 1:])
+    return counts
+
+
+def multiset_unrank(rank: np.ndarray, S: int, k: int) -> np.ndarray:
+    """The k-multisets of range(S) at the given lexicographic ranks.
+
+    Returns (len(rank), k) int64 rows, each non-decreasing: row r of
+    ``combinations_with_replacement(range(S), k)`` for rank r.  Entry j is
+    the largest value whose block, among the multisets sharing the
+    entries before it, starts at or before the remaining rank.
+    """
+    counts = _multiset_counts(S, k)
+    rank = np.array(rank, dtype=np.int64)
+    rows = np.empty((rank.shape[0], k), dtype=np.int64)
+    lo = np.full(rank.shape[0], S, dtype=np.int64)  # S - previous entry
+    for j in range(k - 1):
+        row = counts[k - 1 - j]
+        hi = np.searchsorted(row, row[lo] - rank)
+        rank -= row[lo] - row[hi]
+        rows[:, j] = S - hi
+        lo = hi
+    rows[:, k - 1] = S - lo + rank  # the last entry counts up one by one
+    return rows
+
+
+def multiset_rank(cols, S: int) -> np.ndarray:
+    """Lexicographic rank of each multiset among the k-multisets of range(S).
+
+    cols: k int64 index arrays, non-decreasing from one to the next, so
+    that entry r of each spells multiset r; the inverse of
+    :func:`multiset_unrank`.  The multisets before (a_1..a_k) that share
+    its first j - 1 entries and differ at a_j number R_j(a_{j-1}) -
+    R_j(a_j), with R_j(a) = C(S - a + k - j, k - j + 1) and a_0 = 0.
+    Regrouped by entry, the rank is R_1(0) plus one table lookup per
+    entry: R_{j+1}(a_j) - R_j(a_j), with R_{k+1} = 0.
+    """
+    k = len(cols)
+    tail = np.zeros((k + 1, S + 1), dtype=np.int64)
+    tail[:k] = _multiset_counts(S, k)[::-1, ::-1]  # tail[j - 1][a] = R_j(a)
+    rank = tail[0, 0]
+    for j, col in enumerate(cols):
+        rank = rank + (tail[j + 1] - tail[j])[col]
+    return rank
+
+
+def best_deviation(strat: np.ndarray, opp: np.ndarray, f) -> np.ndarray:
+    """A player's best invest-set value against each row of opponents.
 
     strat: (S, m) float emphases of the distinct grid strategies
-    prof:  (P, n) int indices into strat
+    opp:   (T, n - 1) int indices into strat, one opponent multiset a row
     f:     the :class:`~rankcomp.game.SinglePeakFunction` scoring every query
-    Returns (P,) uint8, 1 where the profile survives the screen.
+    Returns (T,) float64.
 
     Scores are f interpolated on its float knots; a query's cost is the
     increasing-branch inverse at the top opponent score (0 at or below
@@ -51,62 +115,101 @@ def grid_screen(strat: np.ndarray, prof: np.ndarray, f) -> np.ndarray:
     tie.  Solos need a margin under the unit budget, so a set costing 1
     (within ``_EQ_TOL``) can only tie, and a dearer set is infeasible.
     Each sum adds its terms in query order, so a set's value is bitwise
-    the best of its per-query role choices.
+    the best of its per-query role choices.  The value depends only on
+    the opponents' multiset, not on their order or on the player's own
+    strategy.
+    """
+    xs, ys = np.array(f.knots, dtype=np.float64).T
+    rise = [x for x, _ in f.knots].index(f.peak) + 1  # knots up to the peak
+    f0, f_peak = ys[0], ys[rise - 1]
+    scores = np.interp(np.asarray(strat, dtype=np.float64), xs, ys)[opp]  # (T, n-1, m)
+    T, _, m = scores.shape
+    top = scores.max(axis=1)  # (T, m)
+    tie_share = 1.0 / ((scores > top[:, None, :] - _EQ_TOL).sum(axis=1) + 1)
+    # per-query rows, (m, T): the cost to reach the top opponent, the
+    # value of skipping and of the better role once paid for
+    costs = np.ascontiguousarray(np.interp(top, ys[:rise], xs[:rise]).T)
+    zero_val = np.ascontiguousarray(
+        np.where(top < f0 - _EQ_TOL, 1.0, np.where(top <= f0 + _EQ_TOL, tie_share, 0.0)).T
+    )
+    open_share = np.ascontiguousarray(np.where(top < f_peak - _EQ_TOL, 1.0, tie_share).T)
+    tie_share = np.ascontiguousarray(tie_share.T)
+
+    cost = np.empty(T)
+    open_value = np.empty(T)
+    tie_value = np.empty(T)
+    best = np.zeros(T)
+    for invest in range(1 << m):
+        cost.fill(0.0)
+        open_value.fill(0.0)
+        tie_value.fill(0.0)
+        for q in range(m):
+            if invest >> q & 1:
+                cost += costs[q]
+                open_value += open_share[q]
+                tie_value += tie_share[q]
+            else:
+                open_value += zero_val[q]
+                tie_value += zero_val[q]
+        value = np.where(
+            cost < 1.0 - _EQ_TOL,
+            open_value,
+            np.where(cost <= 1.0 + _EQ_TOL, tie_value, 0.0),
+        )
+        np.maximum(best, value, out=best)
+    return best
+
+
+def grid_screen(strat: np.ndarray, prof: np.ndarray, f, best: np.ndarray) -> np.ndarray:
+    """Flag the profiles where no player has an improving deviation.
+
+    strat: (S, m) float emphases of the distinct grid strategies
+    prof:  (P, n) int indices into strat, in any order within a row
+    f:     the :class:`~rankcomp.game.SinglePeakFunction` scoring every query
+    best:  :func:`best_deviation` of every (n - 1)-multiset of range(S),
+           in lexicographic order (its row for a multiset is its
+           :func:`multiset_rank`)
+    Returns (P,) uint8, 1 where the profile survives the screen.
+
+    The verdict does not depend on the order of the players, so each row
+    is sorted first; then every player's opponents form a sorted multiset,
+    ranked to its table row.  The gathered best deviation is compared with
+    the player's current utility: 1 on a query it tops alone, 1/(k + 1)
+    tied with k opponents, 0 below, summed in query order.
     """
     strat = np.asarray(strat, dtype=np.float64)
     prof = np.asarray(prof, dtype=np.int64)
     P, n = prof.shape
-    m = strat.shape[1]
     ok = np.ones(P, dtype=bool)
     if n == 1:
         return ok.astype(np.uint8)
+    S = strat.shape[0]
+    if best.shape != (math.comb(S + n - 2, n - 1),):
+        raise ValueError(f"deviation table of shape {best.shape} does not fit {S} strategies")
+    # sort each row with an insertion network of column minima and maxima
+    cols = list(prof.T)
+    for i in range(1, n):
+        for j in range(i, 0, -1):
+            cols[j - 1], cols[j] = np.minimum(cols[j - 1], cols[j]), np.maximum(cols[j - 1], cols[j])
     xs, ys = np.array(f.knots, dtype=np.float64).T
-    rise = [x for x, _ in f.knots].index(f.peak) + 1  # knots up to the peak
-    f0, f_peak = ys[0], ys[rise - 1]
-    scores = np.interp(strat, xs, ys)[prof]  # (P, n, m)
-
-    cost = np.empty(P)
-    open_value = np.empty(P)
-    tie_value = np.empty(P)
-    best = np.empty(P)
+    by_query = np.ascontiguousarray(np.interp(strat, xs, ys).T)  # (m, S)
+    scores = [[q_scores[col] for col in cols] for q_scores in by_query]  # m lists of n (P,)
+    # a query's share by code: alone on top 0, tied with k opponents k, below n
+    share = np.append(1.0 / np.arange(1, n + 1), 0.0)
+    code_type = np.min_scalar_type(-n - 1)  # small signed ints hold every code
     for i in range(n):
-        opp = np.delete(scores, i, axis=1)  # (P, n-1, m)
-        top = opp.max(axis=1)  # (P, m)
-        cnt = (opp > top[:, None, :] - _EQ_TOL).sum(axis=1)  # (P, m)
-        own = scores[:, i, :]
-        current = np.where(
-            own > top + _EQ_TOL, 1.0, np.where(own > top - _EQ_TOL, 1.0 / (cnt + 1), 0.0)
-        ).sum(axis=1)
-        tie_share = 1.0 / (cnt + 1)
-        # per-query rows, (m, P): the cost to reach the top opponent, the
-        # value of skipping and of the better role once paid for
-        costs = np.ascontiguousarray(np.interp(top, ys[:rise], xs[:rise]).T)
-        zero_val = np.ascontiguousarray(
-            np.where(top < f0 - _EQ_TOL, 1.0, np.where(top <= f0 + _EQ_TOL, tie_share, 0.0)).T
-        )
-        open_share = np.ascontiguousarray(np.where(top < f_peak - _EQ_TOL, 1.0, tie_share).T)
-        tie_share = np.ascontiguousarray(tie_share.T)
-
-        best.fill(0.0)
-        for invest in range(1 << m):
-            cost.fill(0.0)
-            open_value.fill(0.0)
-            tie_value.fill(0.0)
-            for q in range(m):
-                if invest >> q & 1:
-                    cost += costs[q]
-                    open_value += open_share[q]
-                    tie_value += tie_share[q]
-                else:
-                    open_value += zero_val[q]
-                    tie_value += zero_val[q]
-            value = np.where(
-                cost < 1.0 - _EQ_TOL,
-                open_value,
-                np.where(cost <= 1.0 + _EQ_TOL, tie_value, 0.0),
-            )
-            np.maximum(best, value, out=best)
-        ok &= best <= current + _MARGIN
+        current = np.zeros(P)
+        for col in scores:
+            own, opp = col[i], col[:i] + col[i + 1 :]
+            top = opp[0]
+            for o in opp[1:]:
+                top = np.maximum(top, o)
+            cut = top - _EQ_TOL
+            ties = sum((o > cut).astype(code_type) for o in opp)
+            reach = (own > cut).astype(code_type)
+            near = (own <= top + _EQ_TOL).astype(code_type)
+            current += share[n - reach * (n - ties * near)]
+        ok &= best[multiset_rank(cols[:i] + cols[i + 1 :], S)] <= current + _MARGIN
     return ok.astype(np.uint8)
 
 

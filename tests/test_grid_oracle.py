@@ -1,11 +1,12 @@
 from fractions import Fraction as F
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
 
-from rankcomp import kernels
+from rankcomp import grid_oracle, kernels
 from rankcomp.best_response import best_response_value
-from rankcomp.equilibria import construct_equilibrium, verify_nash
+from rankcomp.equilibria import construct_equilibrium, existence_threshold, verify_nash
 from rankcomp.game import RankingGame, SinglePeakFunction, StrategyProfile, utilities
 from rankcomp.grid_oracle import (
     GridSpec,
@@ -42,6 +43,20 @@ class TestCounting:
         spec = GridSpec(g=12, n=3, m=4, peak=F(1, 2), budget=1000)
         with pytest.raises(CapacityError):
             list(grid_profiles(spec))
+
+    def test_numpy_enumeration_equals_itertools(self, monkeypatch):
+        # 7-row chunks end mid-block, inside a run of equal leading indices
+        monkeypatch.setattr(grid_oracle, "_CHUNK_ROWS", 7)
+        for k in range(1, 5):
+            for count in range(1, 7):
+                for symmetric, reference in (
+                    (True, combinations_with_replacement(range(count), k)),
+                    (False, product(range(count), repeat=k)),
+                ):
+                    chunks = list(grid_oracle._index_chunks(count, k, symmetric))
+                    assert all(c.dtype == np.int64 and 0 < len(c) <= 7 for c in chunks)
+                    rows = [tuple(r) for c in chunks for r in c.tolist()]
+                    assert rows == list(reference), (k, count, symmetric)
 
     def test_strategies_respect_simplex(self):
         for nums in grid_strategies(GridSpec(g=4, n=1, m=3, peak=F(1, 2))):
@@ -127,6 +142,16 @@ class TestExactSearch:
                 found += len(exact)
             assert found
 
+    def test_larger_cells_corroborate_non_existence(self):
+        # just above the existence threshold, no grid profile of these
+        # cells (4.5M and 2.7M profiles) survives exact confirmation
+        for n, m, g in [(2, 5, 10), (3, 5, 5)]:
+            peak = existence_threshold(n, m) + F(1, 1000)
+            game = RankingGame.tent(n, m, peak)
+            result = grid_nash_search(game, GridSpec(g=g, n=n, m=m, peak=peak))
+            assert result.profiles_checked > 2_000_000
+            assert result.equilibria == (), (n, m, g)
+
     def test_parallel_jobs_match_serial(self):
         for n, m, g, peak, symmetry in [
             (2, 3, 4, F(1, 2), True),
@@ -146,8 +171,6 @@ class TestExactSearch:
 
     def test_parallel_screen_keeps_at_most_two_chunks_per_job(self, monkeypatch):
         import concurrent.futures
-
-        from rankcomp import grid_oracle
 
         in_flight = []
 
@@ -202,11 +225,14 @@ class TestKernelBackends:
         prof = rng.integers(0, S, size=(P, n))
         return strat, prof
 
-    def test_screen_equals_role_combination_oracle(self):
-        # the 2^m invest-set screen decides exactly as the 3^m role walk,
-        # for the tent at every peak kind and for non-tent shapes
+    def test_screen_equals_role_combination_oracle(self, monkeypatch):
+        # the 2^m invest-set table decides exactly as the 3^m role walk, for
+        # the tent at every peak kind and for non-tent shapes; random rows
+        # and product-order rows list the opponents unsorted, and at 64 rows
+        # a chunk the larger tables are built across several chunks
+        monkeypatch.setattr(grid_oracle, "_CHUNK_ROWS", 64)
         tents = [SinglePeakFunction.tent(peak) for peak in (0.0, 1.0, 1 / 3, 0.5, 0.8)]
-        kept = total = 0
+        kept = total = chunked_tables = 0
         for seed, shapes in ((7, tents), (9, [SKEWED_F, FLOOR_F])):
             rng = np.random.default_rng(seed)
             for n in range(1, 5):
@@ -217,13 +243,18 @@ class TestKernelBackends:
                         nums = grid_strategies(GridSpec(g=g, n=n, m=m, peak=F(1, 2)))
                         coarse = np.array(nums, dtype=np.float64) / g
                         coarse_prof = rng.integers(0, len(nums), size=(40, n))
-                        for strat, prof in (fine, (coarse, coarse_prof)):
-                            mask = kernels.grid_screen(strat, prof, f)
+                        few = coarse[rng.permutation(len(nums))[:3]]
+                        ordered = np.concatenate(list(grid_oracle._index_chunks(len(few), n, False)))
+                        for strat, prof in (fine, (coarse, coarse_prof), (few, ordered)):
+                            best = grid_oracle._deviation_table(strat, n, f)
+                            chunked_tables += len(best) > 64
+                            mask = kernels.grid_screen(strat, prof, f, best)
                             assert mask.dtype == np.uint8
                             assert np.array_equal(mask, screen_oracle(strat, prof, f))
                             kept += int(mask.sum())
                             total += len(mask)
         assert 0 < kept < total
+        assert chunked_tables
 
     def test_batched_logreg_fit_equals_single_fits(self):
         # solving a grid of alphas together must not change a single bit
@@ -246,10 +277,9 @@ class TestKernelBackends:
         spec = GridSpec(g=3, n=2, m=2, peak=peak)
         strategies = grid_strategies(spec)
         strat = np.array(strategies, dtype=np.float64) / spec.g
-        from itertools import combinations_with_replacement
-
         idx = list(combinations_with_replacement(range(len(strategies)), 2))
-        mask = kernels.grid_screen(strat, np.array(idx, dtype=np.int64), game.f)
+        best = grid_oracle._deviation_table(strat, 2, game.f)
+        mask = kernels.grid_screen(strat, np.array(idx, dtype=np.int64), game.f, best)
         profiles = list(grid_profiles(spec))
         for keep, prof in zip(mask, profiles):
             exact = verify_nash(game, prof).is_nash

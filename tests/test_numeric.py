@@ -8,7 +8,7 @@ import pytest
 from conftest import random_fraction, random_strategy
 from rankcomp.best_response import best_response_value, best_response_witness
 from rankcomp.equilibria import verify_nash
-from rankcomp.game import RankingGame, StrategyProfile, utilities
+from rankcomp.game import RankingGame, StrategyProfile, induce_ranking, utilities
 from rankcomp.numeric import improves, numbers_equal, one_like
 
 
@@ -69,3 +69,16 @@ def test_a_float_epsilon_puts_the_witness_in_float_mode(n):
     numbers = [wit.value, wit.epsilon_used, wit.plan.value, wit.plan.epsilon,
                *wit.strategy.emphases]
     assert [type(x) for x in numbers] == [float] * len(numbers)
+
+
+def test_a_float_profile_scores_in_float_on_every_query():
+    # emphases on f's knots (0, 1/2) and int zeros next to float emphases
+    game = RankingGame.tent(2, 3, Fraction(1, 2))
+    profile = StrategyProfile([[0.5, 0.25, 0], [0.5, 0, 0.25]])
+    for q in range(3):
+        groups = induce_ranking(game, profile, q).tie_groups
+        assert all(type(group.score) is float for group in groups), (q, groups)
+    assert type(game.f(0.5)) is float and type(game.f(Fraction(1, 2))) is Fraction
+    assert type(game.f.inverse_increasing_geq(1.0)) is float
+    assert type(game.f.inverse_increasing_geq(0.0)) is float
+    assert type(game.f.inverse_increasing_geq(Fraction(1))) is Fraction
