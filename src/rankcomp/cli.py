@@ -52,7 +52,6 @@ from .numeric import CapacityError, DomainError, dual_view, float_view, parse_nu
 from .prediction import (
     baselines as run_baselines,
     build_instances,
-    build_instances_parallel,
     cross_validate,
     evaluate,
     instances_from_csv,
@@ -502,14 +501,11 @@ def predict():
 @_stopwords_option
 @click.option("--normalize/--no-normalize", default=True,
               help="Apply per-query min-max normalization (default on).")
-@click.option("--jobs", type=click.IntRange(min=1), default=None)
 @_schema_option({"instances": "int", "groups": "int", "out": "str"})
 @click.pass_context
-def predict_build(ctx, log_path, out, stops, normalize, jobs):
-    if jobs is None:
-        jobs = _env_int("RANKCOMP_JOBS", low=1) or 1
+def predict_build(ctx, log_path, out, stops, normalize):
     log = load_log(log_path)
-    insts = build_instances_parallel(log, filter_for_prediction(log), stops, jobs=jobs)
+    insts = build_instances(log, filter_for_prediction(log), stops)
     if normalize:
         insts = normalize_per_query(insts)
     instances_to_csv(out, insts)

@@ -3,30 +3,29 @@
 Strategies are restricted to emphases that are multiples of 1/g (still on
 the capped simplex); profiles are enumerated lexicographically, by default
 up to player-permutation symmetry.  :func:`grid_profiles` and both search
-modes share one enumeration, which checks the budget and builds the exact
-strategies once.
+modes share one enumeration, which checks the budget.
 
-``exact`` mode first builds one best-deviation table, a player's best
-invest-set value against each multiset of n - 1 opponent strategies
-(:func:`rankcomp.kernels.best_deviation`, chunk by chunk over the
-multisets).  It then streams the profile indices in int64 chunks through
-the float screen :func:`rankcomp.kernels.grid_screen`, which gathers
-each player's table row, inline or on a process pool holding at most two
-chunks per worker, and confirms each survivor, in enumeration order,
-with exact rational best responses against *continuous* deviations.  A
-reported profile is therefore a genuine equilibrium of the full game,
-while an empty result only corroborates non-existence (equilibria may
-lie off-grid).  The screen scores through f's knots, so ``exact`` mode
-takes any single-peaked f.
+Both modes run one pipeline.  They build one table of a player's best
+deviation against each multiset of n - 1 opponent strategies, chunk by
+chunk over the multisets, stream the profile indices in int64 chunks
+through the float screen :func:`rankcomp.kernels.grid_screen` (inline or
+on a process pool holding at most two chunks per worker), and confirm
+each survivor exactly, in enumeration order.  The mode picks the table
+and the confirmation.  ``exact`` tables continuous invest-set deviations
+(:func:`rankcomp.kernels.best_deviation`) and confirms with exact
+rational best responses, so a reported profile is a genuine equilibrium
+of the full game, while an empty result only corroborates non-existence
+(equilibria may lie off-grid).  ``grid`` tables the best grid strategy
+(:func:`rankcomp.kernels.best_grid_deviation`) and confirms against
+every grid deviation; it is diagnostic only and can accept spurious
+profiles.  Both tables score through f's knots, so both modes take any
+single-peaked f.  The budget counts profiles, and exact strategies are
+built only for the profiles being confirmed.
 
 The enumeration is numpy throughout: a chunk is a range of row numbers,
 unranked to index tuples (:func:`rankcomp.kernels.multiset_unrank` for
 the symmetric order, base-S digits for the product order), so no array
 ever holds one row per profile.
-
-``grid`` mode checks deviations restricted to grid strategies (n·S
-utility evaluations per profile, all counted against the budget) and is
-diagnostic only: it can accept spurious profiles.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -108,75 +108,80 @@ def grid_strategies(spec: GridSpec) -> list[tuple[int, ...]]:
     return out
 
 
-def _strategies(spec: GridSpec, work: int = 1) -> list[EmphasisVector]:
-    """The grid's exact strategies, once ``work`` checks per profile fit the budget."""
+def _strategies(spec: GridSpec) -> list[tuple[int, ...]]:
+    """The grid's strategy numerators, once the profiles fit the budget."""
     count = profile_count(spec)
-    if count * work > spec.budget:
-        each = f" at {work} utility evaluations each" if work > 1 else ""
-        raise CapacityError(f"{count} grid profiles{each} exceed the budget of {spec.budget}")
-    return [EmphasisVector([Fraction(c, spec.g) for c in s]) for s in grid_strategies(spec)]
+    if count > spec.budget:
+        raise CapacityError(f"{count} grid profiles exceed the budget of {spec.budget}")
+    return grid_strategies(spec)
 
 
-def _profiles(strategies: list[EmphasisVector], index):
+def _exact_strategies(spec: GridSpec, nums):
+    """Index -> exact EmphasisVector of ``nums[index]``, each built on first use."""
+    return cache(lambda i: EmphasisVector([Fraction(c, spec.g) for c in nums[i]]))
+
+
+def _profiles(vector, index):
     for idx in index:
-        yield StrategyProfile([strategies[i] for i in idx])
+        yield StrategyProfile([vector(i) for i in idx])
 
 
-def _index_chunks(count: int, k: int, symmetric: bool):
+def _index_chunks(count: int, k: int, symmetric: bool, rows: int | None = None):
     """Every k-tuple of indices into ``count`` strategies, in int64 chunks.
 
     Symmetric mode yields the non-decreasing tuples in lexicographic
     (``combinations_with_replacement``) order, otherwise all tuples in
-    ``product`` order.  Each chunk holds at most ``_CHUNK_ROWS`` rows and
-    unranks its own row numbers, so no array grows with the total.
+    ``product`` order.  Each chunk holds at most ``rows`` (by default
+    ``_CHUNK_ROWS``) rows and unranks its own row numbers, so no array
+    grows with the total.
     """
+    rows = rows or _CHUNK_ROWS
     total = comb(count + k - 1, k) if symmetric else count**k
-    for start in range(0, total, _CHUNK_ROWS):
-        rank = np.arange(start, min(start + _CHUNK_ROWS, total), dtype=np.int64)
+    for start in range(0, total, rows):
+        rank = np.arange(start, min(start + rows, total), dtype=np.int64)
         if symmetric:
             yield kernels.multiset_unrank(rank, count, k)
         else:
             yield np.stack(np.unravel_index(rank, (count,) * k), axis=1)
 
 
-def _index_rows(spec: GridSpec, count: int):
-    for chunk in _index_chunks(count, spec.n, spec.symmetry):
-        yield from chunk.tolist()
-
-
 def grid_profiles(spec: GridSpec):
     """Enumerate grid StrategyProfiles (respecting the symmetry flag)."""
-    strategies = _strategies(spec)
-    yield from _profiles(strategies, _index_rows(spec, len(strategies)))
+    nums = _strategies(spec)
+    index = _index_chunks(len(nums), spec.n, spec.symmetry)
+    yield from _profiles(_exact_strategies(spec, nums), (r for c in index for r in c.tolist()))
 
 
-def _deviation_table(strat: np.ndarray, n: int, f: SinglePeakFunction) -> np.ndarray:
-    """Best deviation against every (n - 1)-multiset of strategies, in rank order.
+def _deviation_table(strat: np.ndarray, n: int, f, build=kernels.best_deviation) -> np.ndarray:
+    """``build``'s best deviation against every (n - 1)-multiset of strategies, in rank order.
 
     Built chunk by chunk over the multisets, so the only array of full
-    length is the table itself, C(S + n - 2, n - 1) floats.
+    length is the table itself, C(S + n - 2, n - 1) floats.  The grid
+    builder holds (multisets, S) arrays, so its chunks are S times shorter.
     """
     if n == 1:
         return np.zeros(0)
     S = strat.shape[0]
+    rows = _CHUNK_ROWS if build is kernels.best_deviation else max(1, _CHUNK_ROWS // S)
     best = np.empty(comb(S + n - 2, n - 1))
     start = 0
-    for opp in _index_chunks(S, n - 1, symmetric=True):
-        best[start : start + opp.shape[0]] = kernels.best_deviation(strat, opp, f)
+    for opp in _index_chunks(S, n - 1, True, rows):
+        best[start : start + opp.shape[0]] = build(strat, opp, f)
         start += opp.shape[0]
     return best
 
 
-def _screen_survivors(spec: GridSpec, strategies, f: SinglePeakFunction, jobs: int = 1):
+def _screen_survivors(spec: GridSpec, nums, f: SinglePeakFunction, jobs: int = 1,
+                      build=kernels.best_deviation):
     """Float-screen every grid profile under f, yield surviving index tuples in order.
 
     Profiles are cut into int64 chunks of at most ``_CHUNK_ROWS`` rows and
-    screened against one best-deviation table.  With ``jobs > 1`` the
+    screened against one table of ``build``.  With ``jobs > 1`` the
     chunks go to a process pool that holds at most ``2 * jobs`` of them at
     a time, so memory stays bounded.
     """
-    strat = np.array([v.emphases for v in strategies], dtype=np.float64)
-    best = _deviation_table(strat, spec.n, f)
+    strat = np.array(nums) / spec.g
+    best = _deviation_table(strat, spec.n, f, build)
     chunks = _index_chunks(strat.shape[0], spec.n, spec.symmetry)
     if jobs <= 1:
         for prof in chunks:
@@ -199,12 +204,30 @@ def _survivors(strat, prof, f, best) -> list[tuple[int, ...]]:
     return [tuple(idx) for idx in prof[keep].tolist()]
 
 
-_NOTES = {
-    "exact": (
+def _nash(game, profile, alternatives) -> bool:
+    return verify_nash(game, profile).is_nash
+
+
+def _grid_stable(game, profile, alternatives) -> bool:
+    current = utilities(game, profile)
+    for i in range(game.n):
+        for alt in alternatives:
+            if alt.emphases == profile[i].emphases:
+                continue
+            if improves(utilities(game, profile.replace(i, alt))[i], current[i]):
+                return False
+    return True
+
+
+# deviation mode -> (table builder, exact confirmation, notes)
+_MODES = {
+    "exact": (kernels.best_deviation, _nash, (
         "grid profiles passing the exact check are genuine equilibria of the continuous game",
         "an empty result corroborates but does not prove non-existence",
-    ),
-    "grid": ("grid mode checks grid deviations only and may accept spurious profiles",),
+    )),
+    "grid": (kernels.best_grid_deviation, _grid_stable, (
+        "grid mode checks grid deviations only and may accept spurious profiles",
+    )),
 }
 
 
@@ -219,33 +242,20 @@ def grid_nash_search(
         raise DomainError("game and grid spec disagree on n or m")
     if game.peak != spec.peak:
         raise DomainError("game and grid spec disagree on the peak")
-    if deviation_mode not in _NOTES:
+    if deviation_mode not in _MODES:
         raise DomainError(f"unknown deviation mode {deviation_mode!r}")
-    if deviation_mode == "exact":
-        strategies = _strategies(spec)
-        screened = _profiles(strategies, _screen_survivors(spec, strategies, game.f, jobs))
-        found = [p for p in screened if verify_nash(game, p).is_nash]
-    else:
-        # every player tries every grid strategy against each profile
-        strategies = _strategies(spec, work=spec.n * strategy_count(spec))
-        every = _profiles(strategies, _index_rows(spec, len(strategies)))
-        found = [p for p in every if _grid_stable(game, p, strategies)]
+    build, confirm, notes = _MODES[deviation_mode]
+    nums = _strategies(spec)
+    vector = _exact_strategies(spec, nums)
+    survivors = _profiles(vector, _screen_survivors(spec, nums, game.f, jobs, build))
     return GridSearchResult(
-        equilibria=tuple(found),
+        # the alternatives are every grid strategy, built exactly on first use
+        equilibria=tuple(
+            p for p in survivors if confirm(game, p, map(vector, range(len(nums))))
+        ),
         profiles_checked=profile_count(spec),
-        strategy_count=len(strategies),
+        strategy_count=len(nums),
         mode=deviation_mode,
         symmetry=spec.symmetry,
-        notes=_NOTES[deviation_mode],
+        notes=notes,
     )
-
-
-def _grid_stable(game, profile, strategies) -> bool:
-    current = utilities(game, profile)
-    for i in range(game.n):
-        for alt in strategies:
-            if alt.emphases == profile[i].emphases:
-                continue
-            if improves(utilities(game, profile.replace(i, alt))[i], current[i]):
-                return False
-    return True

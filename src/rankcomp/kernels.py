@@ -5,20 +5,21 @@ equilibrium candidates, and the proximal-gradient fits inside the
 cross-validation protocol.  Each is one vectorized numpy function.
 
 The screen asks, for every player of every grid profile, whether some
-subset of queries to invest in beats the player's current utility (the
-invest-set model of :mod:`rankcomp.best_response`, over 2^m sets).  A
-player's best deviation depends only on the multiset of its opponents'
-strategies, as in anonymous games, so ``best_deviation`` walks the 2^m
-sets once per opponent multiset, C(S + n - 2, n - 1) of them for S grid
-strategies, and the caller stores the values as one table in
-lexicographic multiset order.  ``grid_screen`` then takes a chunk of
-profiles, ranks each player's sorted opponents to a table row with
-exact int64 combinatorics (``multiset_rank``, the inverse of the
-enumeration's ``multiset_unrank``), gathers the best deviation and
-compares it with the player's current utility.  It is float arithmetic
-over quantities whose exact values are rationals with small
-denominators, so a 1e-9 acceptance margin cannot misclassify; accepted
-profiles are re-verified exactly by the caller.
+deviation beats the player's current utility.  A player's best deviation
+depends only on the multiset of its opponents' strategies, as in
+anonymous games, so the caller stores it as one table over the
+C(S + n - 2, n - 1) opponent multisets of S grid strategies, in
+lexicographic order, built by ``best_deviation`` (the 2^m invest sets of
+:mod:`rankcomp.best_response`) or ``best_grid_deviation`` (the best grid
+strategy, scored by the current utility's share rule ``_share``).
+``grid_screen`` then takes a chunk of profiles, ranks each player's
+sorted opponents to a table row with exact int64 combinatorics
+(``multiset_rank``, the inverse of the enumeration's
+``multiset_unrank``), gathers the best deviation and compares it with
+the player's current utility.  It is float arithmetic over quantities
+whose exact values are rationals with small denominators, so a 1e-9
+acceptance margin cannot misclassify; accepted profiles are re-verified
+exactly by the caller.
 
 ``logreg_fit`` solves a whole grid of regularization strengths on one
 training set at once.
@@ -98,6 +99,50 @@ def multiset_rank(cols, S: int) -> np.ndarray:
     return rank
 
 
+def _query_scores(strat: np.ndarray, f) -> np.ndarray:
+    """(m, S) float scores of every grid strategy, one row per query."""
+    xs, ys = np.array(f.knots, dtype=np.float64).T
+    return np.ascontiguousarray(np.interp(strat, xs, ys).T)
+
+
+def _share(own: np.ndarray, opp: list) -> np.ndarray:
+    """A player's share of one query: 1 alone on top, 1/(k + 1) tied with k opponents, 0 below.
+
+    own: the player's scores; opp: the n - 1 opponents' scores, each
+    broadcastable against own; scores within ``_EQ_TOL`` of the top tie.
+    """
+    n = len(opp) + 1
+    top = opp[0]
+    for o in opp[1:]:
+        top = np.maximum(top, o)
+    cut = top - _EQ_TOL
+    # the share by code: alone on top 0, tied with k opponents k, below n
+    code_type = np.min_scalar_type(-n - 1)  # small signed ints hold every code
+    ties = sum((o > cut).astype(code_type) for o in opp)
+    reach = (own > cut).astype(code_type)
+    near = (own <= top + _EQ_TOL).astype(code_type)
+    share = np.append(1.0 / np.arange(1, n + 1), 0.0)
+    return share[n - reach * (n - ties * near)]
+
+
+def best_grid_deviation(strat: np.ndarray, opp: np.ndarray, f) -> np.ndarray:
+    """A player's best float utility over the grid strategies against each row of opponents.
+
+    strat: (S, m) float emphases of the distinct grid strategies
+    opp:   (T, n - 1) int indices into strat, one opponent multiset a row
+    f:     the :class:`~rankcomp.game.SinglePeakFunction` scoring every query
+    Returns (T,) float64.
+
+    Each strategy's :func:`_share` of every query is summed in query order,
+    bitwise as :func:`grid_screen` sums a current utility.  The temporaries
+    are (T, S) arrays, so callers bound T·S.
+    """
+    value = np.zeros((opp.shape[0], strat.shape[0]))
+    for q_scores in _query_scores(np.asarray(strat, dtype=np.float64), f):
+        value += _share(q_scores, [q_scores[col][:, None] for col in opp.T])
+    return value.max(axis=1)
+
+
 def best_deviation(strat: np.ndarray, opp: np.ndarray, f) -> np.ndarray:
     """A player's best invest-set value against each row of opponents.
 
@@ -122,18 +167,15 @@ def best_deviation(strat: np.ndarray, opp: np.ndarray, f) -> np.ndarray:
     xs, ys = np.array(f.knots, dtype=np.float64).T
     rise = [x for x, _ in f.knots].index(f.peak) + 1  # knots up to the peak
     f0, f_peak = ys[0], ys[rise - 1]
-    scores = np.interp(np.asarray(strat, dtype=np.float64), xs, ys)[opp]  # (T, n-1, m)
-    T, _, m = scores.shape
-    top = scores.max(axis=1)  # (T, m)
-    tie_share = 1.0 / ((scores > top[:, None, :] - _EQ_TOL).sum(axis=1) + 1)
+    scores = _query_scores(np.asarray(strat, dtype=np.float64), f)[:, opp]  # (m, T, n-1)
+    m, T, _ = scores.shape
+    top = scores.max(axis=2)  # (m, T)
+    tie_share = 1.0 / ((scores > top[:, :, None] - _EQ_TOL).sum(axis=2) + 1)
     # per-query rows, (m, T): the cost to reach the top opponent, the
     # value of skipping and of the better role once paid for
-    costs = np.ascontiguousarray(np.interp(top, ys[:rise], xs[:rise]).T)
-    zero_val = np.ascontiguousarray(
-        np.where(top < f0 - _EQ_TOL, 1.0, np.where(top <= f0 + _EQ_TOL, tie_share, 0.0)).T
-    )
-    open_share = np.ascontiguousarray(np.where(top < f_peak - _EQ_TOL, 1.0, tie_share).T)
-    tie_share = np.ascontiguousarray(tie_share.T)
+    costs = np.interp(top, ys[:rise], xs[:rise])
+    zero_val = np.where(top < f0 - _EQ_TOL, 1.0, np.where(top <= f0 + _EQ_TOL, tie_share, 0.0))
+    open_share = np.where(top < f_peak - _EQ_TOL, 1.0, tie_share)
 
     cost = np.empty(T)
     open_value = np.empty(T)
@@ -166,16 +208,16 @@ def grid_screen(strat: np.ndarray, prof: np.ndarray, f, best: np.ndarray) -> np.
     strat: (S, m) float emphases of the distinct grid strategies
     prof:  (P, n) int indices into strat, in any order within a row
     f:     the :class:`~rankcomp.game.SinglePeakFunction` scoring every query
-    best:  :func:`best_deviation` of every (n - 1)-multiset of range(S),
-           in lexicographic order (its row for a multiset is its
-           :func:`multiset_rank`)
+    best:  :func:`best_deviation` or :func:`best_grid_deviation` of every
+           (n - 1)-multiset of range(S), in lexicographic order (its row
+           for a multiset is its :func:`multiset_rank`)
     Returns (P,) uint8, 1 where the profile survives the screen.
 
     The verdict does not depend on the order of the players, so each row
     is sorted first; then every player's opponents form a sorted multiset,
     ranked to its table row.  The gathered best deviation is compared with
-    the player's current utility: 1 on a query it tops alone, 1/(k + 1)
-    tied with k opponents, 0 below, summed in query order.
+    the player's current utility, its :func:`_share` of each query summed
+    in query order.
     """
     strat = np.asarray(strat, dtype=np.float64)
     prof = np.asarray(prof, dtype=np.int64)
@@ -191,24 +233,11 @@ def grid_screen(strat: np.ndarray, prof: np.ndarray, f, best: np.ndarray) -> np.
     for i in range(1, n):
         for j in range(i, 0, -1):
             cols[j - 1], cols[j] = np.minimum(cols[j - 1], cols[j]), np.maximum(cols[j - 1], cols[j])
-    xs, ys = np.array(f.knots, dtype=np.float64).T
-    by_query = np.ascontiguousarray(np.interp(strat, xs, ys).T)  # (m, S)
-    scores = [[q_scores[col] for col in cols] for q_scores in by_query]  # m lists of n (P,)
-    # a query's share by code: alone on top 0, tied with k opponents k, below n
-    share = np.append(1.0 / np.arange(1, n + 1), 0.0)
-    code_type = np.min_scalar_type(-n - 1)  # small signed ints hold every code
+    scores = [[q_scores[col] for col in cols] for q_scores in _query_scores(strat, f)]
     for i in range(n):
         current = np.zeros(P)
         for col in scores:
-            own, opp = col[i], col[:i] + col[i + 1 :]
-            top = opp[0]
-            for o in opp[1:]:
-                top = np.maximum(top, o)
-            cut = top - _EQ_TOL
-            ties = sum((o > cut).astype(code_type) for o in opp)
-            reach = (own > cut).astype(code_type)
-            near = (own <= top + _EQ_TOL).astype(code_type)
-            current += share[n - reach * (n - ties * near)]
+            current += _share(col[i], col[:i] + col[i + 1 :])
         ok &= best[multiset_rank(cols[:i] + cols[i + 1 :], S)] <= current + _MARGIN
     return ok.astype(np.uint8)
 

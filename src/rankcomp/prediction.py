@@ -249,44 +249,6 @@ def build_instances(
     return out
 
 
-def build_instances_parallel(
-    log: CompetitionLog,
-    triples: Optional[Iterable[PredictionTriple]] = None,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    jobs: int = 1,
-) -> list[PredictionInstance]:
-    """build_instances with topics partitioned across worker processes.
-
-    Output order matches the serial builder (triples grouped by topic in
-    input order), so results are identical for any job count.
-    """
-    if triples is None:
-        triples = filter_for_prediction(log)
-    triples = list(triples)
-    if jobs <= 1:
-        return build_instances(log, triples, stopwords)
-    from concurrent.futures import ProcessPoolExecutor
-
-    by_topic: dict[str, list[PredictionTriple]] = {}
-    for t in triples:
-        by_topic.setdefault(t.topic_id, []).append(t)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        # each worker receives only the topic its chunk needs
-        futures = [
-            pool.submit(
-                build_instances,
-                CompetitionLog(topics=(log.topic(topic_id),)),
-                chunk,
-                stopwords,
-            )
-            for topic_id, chunk in by_topic.items()
-        ]
-        out: list[PredictionInstance] = []
-        for fut in futures:
-            out.extend(fut.result())
-    return out
-
-
 def normalize_per_query(instances: Sequence[PredictionInstance]) -> list[PredictionInstance]:
     """Min-max scale each feature within its (topic, query, round) group.
 

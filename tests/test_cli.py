@@ -143,6 +143,27 @@ class TestGameCommands:
         assert data["count"] >= 1
         assert [["1/3", "1/3", "1/3"], ["1/3", "1/3", "1/3"]] in data["equilibria_exact"]
 
+    @pytest.mark.parametrize("args, expected", [
+        # at resolution 1 every document scores zero, so every profile is grid-stable
+        (["--n", "2", "--m", "2", "--peak", "1/2", "--grid", "1"],
+         '{"count":6,"equilibria":[[[0.0,0.0],[0.0,0.0]],[[0.0,0.0],[0.0,1.0]],'
+         '[[0.0,0.0],[1.0,0.0]],[[0.0,1.0],[0.0,1.0]],[[0.0,1.0],[1.0,0.0]],'
+         '[[1.0,0.0],[1.0,0.0]]],"equilibria_exact":[[[0,0],[0,0]],[[0,0],[0,1]],'
+         '[[0,0],[1,0]],[[0,1],[0,1]],[[0,1],[1,0]],[[1,0],[1,0]]],"mode":"grid",'
+         '"notes":["grid mode checks grid deviations only and may accept spurious profiles"],'
+         '"profiles_checked":6,"strategy_count":3}\n'),
+        (["--n", "3", "--m", "3", "--peak", "1/2", "--grid", "3"],
+         '{"count":1,"equilibria":[[[0.3333333333333333,0.3333333333333333,'
+         '0.3333333333333333],[0.3333333333333333,0.3333333333333333,0.3333333333333333],'
+         '[0.3333333333333333,0.3333333333333333,0.3333333333333333]]],'
+         '"equilibria_exact":[[["1/3","1/3","1/3"],["1/3","1/3","1/3"],["1/3","1/3","1/3"]]],'
+         '"mode":"grid","notes":["grid mode checks grid deviations only and may accept '
+         'spurious profiles"],"profiles_checked":1540,"strategy_count":20}\n'),
+    ], ids=["every-profile-spurious", "three-players"])
+    def test_oracle_grid_mode_output_is_pinned(self, runner, args, expected):
+        res = invoke(runner, ["game", "oracle", "--mode", "grid"] + args)
+        assert res.output == expected
+
     def test_oracle_budget_capacity(self, runner):
         res = runner.invoke(main, ["game", "oracle", "--n", "3", "--m", "4",
                                    "--peak", "0.5", "--grid", "12", "--budget", "1000"])
@@ -315,46 +336,22 @@ class TestOutputDiscipline:
 
 
 class TestJobsFlag:
-    def test_predict_build_jobs_deterministic(self, runner, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"topics": 4, "rounds": 5}), encoding="utf-8")
-        log = tmp_path / "log.jsonl"
-        invoke(runner, ["simulate", "competition", "--config", str(cfg),
-                        "--seed", "9", "--out", str(log)])
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        invoke(runner, ["predict", "build", "--log", str(log), "--out", str(a)])
-        invoke(runner, ["predict", "build", "--log", str(log), "--out", str(b),
-                        "--jobs", "2"])
-        assert a.read_bytes() == b.read_bytes()
+    ORACLE = ["game", "oracle", "--n", "2", "--m", "2", "--peak", "1/2", "--grid", "2"]
 
     @pytest.mark.parametrize("raw", ["0", "-3"])
-    def test_jobs_below_one_is_a_usage_error(self, runner, tmp_path, raw):
-        log = tmp_path / "log.jsonl"
-        log.write_text("", encoding="utf-8")
-        commands = [
-            ["game", "oracle", "--n", "2", "--m", "2", "--peak", "1/2", "--grid", "2"],
-            ["predict", "build", "--log", str(log), "--out", str(tmp_path / "inst.csv")],
-        ]
-        for args in commands:
-            res = runner.invoke(main, args + ["--jobs", raw])
-            assert res.exit_code == 2, args
-            assert res.stdout == ""
-            assert "--jobs" in res.stderr
+    def test_jobs_below_one_is_a_usage_error(self, runner, raw):
+        res = runner.invoke(main, self.ORACLE + ["--jobs", raw])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert "--jobs" in res.stderr
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
-    def test_invalid_jobs_env_is_a_domain_error(self, runner, monkeypatch, tmp_path, raw):
+    def test_invalid_jobs_env_is_a_domain_error(self, runner, monkeypatch, raw):
         monkeypatch.setenv("RANKCOMP_JOBS", raw)
-        log = tmp_path / "log.jsonl"
-        log.write_text("", encoding="utf-8")  # refused before the log is read
-        commands = [
-            ["game", "oracle", "--n", "2", "--m", "2", "--peak", "1/2", "--grid", "2"],
-            ["predict", "build", "--log", str(log), "--out", str(tmp_path / "inst.csv")],
-        ]
-        for args in commands:
-            res = runner.invoke(main, args)
-            assert res.exit_code == 1, args
-            assert res.stdout == ""
-            assert "RANKCOMP_JOBS" in json.loads(res.stderr)["error"]
+        res = runner.invoke(main, self.ORACLE)
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert "RANKCOMP_JOBS" in json.loads(res.stderr)["error"]
 
 
 # the motivating non-convergence run (peak 1/2): player 1, 0, 1 reply in turn

@@ -132,7 +132,7 @@ class TestExactSearch:
 
         for f in (SKEWED_F, FLOOR_F):
             found = 0
-            for n, m, g in [(2, 2, 10), (2, 3, 5), (3, 2, 5), (3, 3, 3), (2, 4, 4)]:
+            for n, m, g in [(1, 2, 4), (2, 2, 10), (2, 3, 5), (3, 2, 5), (3, 3, 3), (2, 4, 4)]:
                 game = RankingGame(n=n, m=m, f=f)
                 spec = GridSpec(g=g, n=n, m=m, peak=f.peak)
                 brute = tuple(p for p in grid_profiles(spec) if is_nash(game, p))
@@ -140,6 +140,21 @@ class TestExactSearch:
                 assert exact == brute
                 assert all(verify_nash(game, p).is_nash for p in exact)
                 found += len(exact)
+            assert found
+        # grid mode screens through its own table of grid deviations, so it
+        # keeps every profile that the exact grid-deviation check accepts
+        tents = [SinglePeakFunction.tent(F(1, 2)), SinglePeakFunction.tent(0.5)]
+        for f in (SKEWED_F, FLOOR_F, *tents):
+            found = 0
+            for (n, m, g), symmetry in product([(1, 2, 4), (2, 2, 4), (2, 3, 2), (3, 2, 2)],
+                                               (True, False)):
+                game = RankingGame(n=n, m=m, f=f)
+                spec = GridSpec(g=g, n=n, m=m, peak=f.peak, symmetry=symmetry)
+                every = [v for (v,) in grid_profiles(GridSpec(g=g, n=1, m=m, peak=f.peak))]
+                brute = tuple(p for p in grid_profiles(spec)
+                              if grid_oracle._grid_stable(game, p, every))
+                assert grid_nash_search(game, spec, deviation_mode="grid").equilibria == brute
+                found += len(brute)
             assert found
 
     def test_larger_cells_corroborate_non_existence(self):
@@ -153,15 +168,16 @@ class TestExactSearch:
             assert result.equilibria == (), (n, m, g)
 
     def test_parallel_jobs_match_serial(self):
-        for n, m, g, peak, symmetry in [
+        for (n, m, g, peak, symmetry), mode in product([
+            (1, 2, 2, F(1, 2), True),
             (2, 3, 4, F(1, 2), True),
             (3, 2, 3, F(1, 3), True),
             (2, 2, 3, F(1, 3), False),
-        ]:
+        ], ("exact", "grid")):
             game = RankingGame.tent(n, m, peak)
             spec = GridSpec(g=g, n=n, m=m, peak=peak, symmetry=symmetry)
-            serial = grid_nash_search(game, spec, jobs=1)
-            parallel = grid_nash_search(game, spec, jobs=2)
+            serial = grid_nash_search(game, spec, mode, jobs=1)
+            parallel = grid_nash_search(game, spec, mode, jobs=2)
             assert serial.equilibria
             assert [p.strategies for p in serial.equilibria] == [
                 p.strategies for p in parallel.equilibria
@@ -300,6 +316,20 @@ class TestGridModeIsDiagnosticOnly:
         assert len(grid.equilibria) > 0
         assert exact.equilibria == ()
         assert any("spurious" in note for note in grid.notes)
+
+    def test_grid_mode_budget_counts_profiles_only(self):
+        # 406 profiles fit a budget of 1000, although checking each against
+        # its n·S = 56 grid deviations would not
+        peak = F(1, 2)
+        game = RankingGame.tent(2, 2, peak)
+        spec = GridSpec(g=6, n=2, m=2, peak=peak, budget=1000)
+        result = grid_nash_search(game, spec, deviation_mode="grid")
+        assert result.profiles_checked == 406 <= spec.budget < 406 * 2 * strategy_count(spec)
+        unbounded = GridSpec(g=6, n=2, m=2, peak=peak)
+        assert result.equilibria == grid_nash_search(game, unbounded, "grid").equilibria
+        assert result.equilibria
+        with pytest.raises(CapacityError, match="406 grid profiles exceed the budget of 405"):
+            grid_nash_search(game, GridSpec(g=6, n=2, m=2, peak=peak, budget=405), "grid")
 
     def test_float_tent_grid_mode_matches_the_exact_tent(self):
         # float tie shares carry rounding noise; deviations are compared with

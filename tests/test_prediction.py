@@ -694,48 +694,6 @@ class TestEndToEndDirection:
         assert sum(lreg_accs) / len(lreg_accs) > sum(rand_accs) / len(rand_accs)
 
 
-class TestParallelBuild:
-    def test_parallel_build_matches_serial(self):
-        from rankcomp.prediction import build_instances_parallel
-
-        log = synthesize(SynthesisConfig(topics=4, rounds=5), seed=31)
-        serial = build_instances(log)
-        for jobs in (1, 2, 3):
-            assert build_instances_parallel(log, jobs=jobs) == serial
-
-    def test_each_worker_receives_only_its_topic(self, monkeypatch):
-        import concurrent.futures
-
-        from rankcomp.prediction import build_instances_parallel
-
-        submitted = []
-
-        class InlinePool:
-            """Runs submissions in-process and records what each one was sent."""
-
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, log, chunk, stopwords):
-                submitted.append((log, chunk))
-                future = concurrent.futures.Future()
-                future.set_result(fn(log, chunk, stopwords))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-        log = synthesize(SynthesisConfig(topics=3, rounds=4), seed=32)
-        assert build_instances_parallel(log, jobs=2) == build_instances(log)
-        assert [sub_log.topics for sub_log, _ in submitted] == [(t,) for t in log.topics]
-        for sub_log, chunk in submitted:
-            assert {t.topic_id for t in chunk} == {sub_log.topics[0].topic_id}
-
-
 class TestTopicOrder:
     def test_interleaved_topics_keep_input_order(self):
         log = synthesize(SynthesisConfig(topics=3, rounds=5), seed=33)
