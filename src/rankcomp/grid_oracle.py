@@ -10,17 +10,17 @@ deviation against each multiset of n - 1 opponent strategies, chunk by
 chunk over the multisets, stream the profile indices in int64 chunks
 through the float screen :func:`rankcomp.kernels.grid_screen` (inline or
 on a process pool holding at most two chunks per worker), and confirm
-each survivor exactly, in enumeration order.  The mode picks the table
-and the confirmation.  ``exact`` tables continuous invest-set deviations
-(:func:`rankcomp.kernels.best_deviation`) and confirms with exact
-rational best responses, so a reported profile is a genuine equilibrium
-of the full game, while an empty result only corroborates non-existence
-(equilibria may lie off-grid).  ``grid`` tables the best grid strategy
-(:func:`rankcomp.kernels.best_grid_deviation`) and confirms against
-every grid deviation; it is diagnostic only and can accept spurious
-profiles.  Both tables score through f's knots, so both modes take any
-single-peaked f.  The budget counts profiles, and exact strategies are
-built only for the profiles being confirmed.
+each survivor exactly, in enumeration order.  A ``_MODES`` entry picks
+the table builder, its chunk size and the confirmation.  ``exact``
+tables continuous invest-set deviations (:func:`kernels.best_deviation`)
+and confirms with exact rational best responses, so a reported profile
+is a genuine equilibrium of the full game, while an empty result only
+corroborates non-existence (equilibria may lie off-grid).  ``grid``
+tables the best grid strategy (:func:`kernels.best_grid_deviation`) and
+confirms every player against every grid deviation; it is diagnostic
+only and can accept spurious profiles.  Both tables score through f's
+knots, so both modes take any single-peaked f.  The budget counts
+profiles; exact strategies are built only for the profiles confirmed.
 
 The enumeration is numpy throughout: a chunk is a range of row numbers,
 unranked to index tuples (:func:`rankcomp.kernels.multiset_unrank` for
@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from math import comb
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -152,36 +153,33 @@ def grid_profiles(spec: GridSpec):
     yield from _profiles(_exact_strategies(spec, nums), (r for c in index for r in c.tolist()))
 
 
-def _deviation_table(strat: np.ndarray, n: int, f, build=kernels.best_deviation) -> np.ndarray:
-    """``build``'s best deviation against every (n - 1)-multiset of strategies, in rank order.
+def _deviation_table(strat: np.ndarray, n: int, f, mode: _Mode) -> np.ndarray:
+    """``mode``'s best deviation against every (n - 1)-multiset of strategies, in rank order.
 
-    Built chunk by chunk over the multisets, so the only array of full
-    length is the table itself, C(S + n - 2, n - 1) floats.  The grid
-    builder holds (multisets, S) arrays, so its chunks are S times shorter.
+    Built in chunks of ``mode.rows(S)`` multisets, so the only array of
+    full length is the table itself, C(S + n - 2, n - 1) floats.
     """
     if n == 1:
         return np.zeros(0)
     S = strat.shape[0]
-    rows = _CHUNK_ROWS if build is kernels.best_deviation else max(1, _CHUNK_ROWS // S)
     best = np.empty(comb(S + n - 2, n - 1))
     start = 0
-    for opp in _index_chunks(S, n - 1, True, rows):
-        best[start : start + opp.shape[0]] = build(strat, opp, f)
+    for opp in _index_chunks(S, n - 1, True, mode.rows(S)):
+        best[start : start + opp.shape[0]] = mode.build(strat, opp, f)
         start += opp.shape[0]
     return best
 
 
-def _screen_survivors(spec: GridSpec, nums, f: SinglePeakFunction, jobs: int = 1,
-                      build=kernels.best_deviation):
+def _screen_survivors(spec: GridSpec, nums, f: SinglePeakFunction, mode: _Mode, jobs: int = 1):
     """Float-screen every grid profile under f, yield surviving index tuples in order.
 
     Profiles are cut into int64 chunks of at most ``_CHUNK_ROWS`` rows and
-    screened against one table of ``build``.  With ``jobs > 1`` the
-    chunks go to a process pool that holds at most ``2 * jobs`` of them at
-    a time, so memory stays bounded.
+    screened against ``mode``'s table.  With ``jobs > 1`` the chunks go
+    to a process pool that holds at most ``2 * jobs`` of them at a time,
+    so memory stays bounded.
     """
     strat = np.array(nums) / spec.g
-    best = _deviation_table(strat, spec.n, f, build)
+    best = _deviation_table(strat, spec.n, f, mode)
     chunks = _index_chunks(strat.shape[0], spec.n, spec.symmetry)
     if jobs <= 1:
         for prof in chunks:
@@ -209,6 +207,7 @@ def _nash(game, profile, alternatives) -> bool:
 
 
 def _grid_stable(game, profile, alternatives) -> bool:
+    alternatives = tuple(alternatives)  # iterated once per player
     current = utilities(game, profile)
     for i in range(game.n):
         for alt in alternatives:
@@ -219,13 +218,19 @@ def _grid_stable(game, profile, alternatives) -> bool:
     return True
 
 
-# deviation mode -> (table builder, exact confirmation, notes)
+class _Mode(NamedTuple):
+    build: Callable  # (strat, opp, f) -> best deviation per opponent multiset
+    rows: Callable  # S -> multisets per table chunk; grid's temporaries are S floats wide
+    confirm: Callable  # (game, profile, grid strategies) -> is it confirmed
+    notes: tuple[str, ...]
+
+
 _MODES = {
-    "exact": (kernels.best_deviation, _nash, (
+    "exact": _Mode(kernels.best_deviation, lambda S: _CHUNK_ROWS, _nash, (
         "grid profiles passing the exact check are genuine equilibria of the continuous game",
         "an empty result corroborates but does not prove non-existence",
     )),
-    "grid": (kernels.best_grid_deviation, _grid_stable, (
+    "grid": _Mode(kernels.best_grid_deviation, lambda S: max(1, _CHUNK_ROWS // S), _grid_stable, (
         "grid mode checks grid deviations only and may accept spurious profiles",
     )),
 }
@@ -244,18 +249,18 @@ def grid_nash_search(
         raise DomainError("game and grid spec disagree on the peak")
     if deviation_mode not in _MODES:
         raise DomainError(f"unknown deviation mode {deviation_mode!r}")
-    build, confirm, notes = _MODES[deviation_mode]
+    mode = _MODES[deviation_mode]
     nums = _strategies(spec)
     vector = _exact_strategies(spec, nums)
-    survivors = _profiles(vector, _screen_survivors(spec, nums, game.f, jobs, build))
+    survivors = _profiles(vector, _screen_survivors(spec, nums, game.f, mode, jobs))
     return GridSearchResult(
         # the alternatives are every grid strategy, built exactly on first use
         equilibria=tuple(
-            p for p in survivors if confirm(game, p, map(vector, range(len(nums))))
+            p for p in survivors if mode.confirm(game, p, map(vector, range(len(nums))))
         ),
         profiles_checked=profile_count(spec),
         strategy_count=len(nums),
         mode=deviation_mode,
         symmetry=spec.symmetry,
-        notes=notes,
+        notes=mode.notes,
     )

@@ -177,14 +177,11 @@ def best_deviation(strat: np.ndarray, opp: np.ndarray, f) -> np.ndarray:
     zero_val = np.where(top < f0 - _EQ_TOL, 1.0, np.where(top <= f0 + _EQ_TOL, tie_share, 0.0))
     open_share = np.where(top < f_peak - _EQ_TOL, 1.0, tie_share)
 
-    cost = np.empty(T)
-    open_value = np.empty(T)
-    tie_value = np.empty(T)
     best = np.zeros(T)
     for invest in range(1 << m):
-        cost.fill(0.0)
-        open_value.fill(0.0)
-        tie_value.fill(0.0)
+        cost = np.zeros(T)
+        open_value = np.zeros(T)
+        tie_value = np.zeros(T)
         for q in range(m):
             if invest >> q & 1:
                 cost += costs[q]

@@ -20,6 +20,8 @@ from rankcomp.numeric import CapacityError, improves
 from conftest import FLOOR_F, SKEWED_F
 from screen_oracle import screen_oracle
 
+EXACT = grid_oracle._MODES["exact"]
+
 
 class TestCounting:
     def test_single_player_single_query(self):
@@ -223,8 +225,8 @@ class TestExactSearch:
         spec = GridSpec(g=3, n=2, m=3, peak=F(1, 3))
         strategies, f = grid_oracle._strategies(spec), SinglePeakFunction.tent(spec.peak)
         jobs = 2
-        serial = list(grid_oracle._screen_survivors(spec, strategies, f, jobs=1))
-        parallel = list(grid_oracle._screen_survivors(spec, strategies, f, jobs=jobs))
+        serial = list(grid_oracle._screen_survivors(spec, strategies, f, EXACT, jobs=1))
+        parallel = list(grid_oracle._screen_survivors(spec, strategies, f, EXACT, jobs=jobs))
         assert len(in_flight) == -(-profile_count(spec) // 7)  # one submit per chunk
         assert max(in_flight) == 2 * jobs
         assert serial and parallel == serial
@@ -262,7 +264,7 @@ class TestKernelBackends:
                         few = coarse[rng.permutation(len(nums))[:3]]
                         ordered = np.concatenate(list(grid_oracle._index_chunks(len(few), n, False)))
                         for strat, prof in (fine, (coarse, coarse_prof), (few, ordered)):
-                            best = grid_oracle._deviation_table(strat, n, f)
+                            best = grid_oracle._deviation_table(strat, n, f, EXACT)
                             chunked_tables += len(best) > 64
                             mask = kernels.grid_screen(strat, prof, f, best)
                             assert mask.dtype == np.uint8
@@ -294,7 +296,7 @@ class TestKernelBackends:
         strategies = grid_strategies(spec)
         strat = np.array(strategies, dtype=np.float64) / spec.g
         idx = list(combinations_with_replacement(range(len(strategies)), 2))
-        best = grid_oracle._deviation_table(strat, 2, game.f)
+        best = grid_oracle._deviation_table(strat, 2, game.f, EXACT)
         mask = kernels.grid_screen(strat, np.array(idx, dtype=np.int64), game.f, best)
         profiles = list(grid_profiles(spec))
         for keep, prof in zip(mask, profiles):
@@ -316,6 +318,23 @@ class TestGridModeIsDiagnosticOnly:
         assert len(grid.equilibria) > 0
         assert exact.equilibria == ()
         assert any("spurious" in note for note in grid.notes)
+
+    def test_grid_confirmation_checks_every_player(self, monkeypatch):
+        # with a screen that keeps every profile, the confirmation alone must
+        # reject each profile where any player, not only the first, has an
+        # improving grid deviation
+        monkeypatch.setattr(grid_oracle, "_survivors",
+                            lambda strat, prof, f, best: [tuple(r) for r in prof.tolist()])
+        for (n, m, g), f, symmetry in product([(2, 2, 4), (3, 2, 2)],
+                                              (SinglePeakFunction.tent(F(1, 2)), SKEWED_F),
+                                              (True, False)):
+            game = RankingGame(n=n, m=m, f=f)
+            spec = GridSpec(g=g, n=n, m=m, peak=f.peak, symmetry=symmetry)
+            every = [v for (v,) in grid_profiles(GridSpec(g=g, n=1, m=m, peak=f.peak))]
+            brute = tuple(p for p in grid_profiles(spec)
+                          if grid_oracle._grid_stable(game, p, every))
+            assert len(brute) < profile_count(spec)
+            assert grid_nash_search(game, spec, deviation_mode="grid").equilibria == brute
 
     def test_grid_mode_budget_counts_profiles_only(self):
         # 406 profiles fit a budget of 1000, although checking each against
