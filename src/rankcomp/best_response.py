@@ -13,6 +13,10 @@ Choosing the invest-subset is a 0/1 knapsack whose gains are all 1 or a
 tie share 1/(t+1).  It is solved exactly, at any m, by a dynamic program
 over least cost per exact gain (Kellerer, Pferschy & Pisinger, *Knapsack
 Problems*, 2004, ch. 2); the tests check it against 2^m enumeration.
+
+The public functions validate and score the profile once; the private
+helpers take those scores, so a caller scores a profile once for all its
+players, and a witness reuses the thresholds and plan of its value.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .game import EmphasisVector, RankingGame, StrategyProfile, require_valid, score, unit, utilities
+from .game import EmphasisVector, RankingGame, StrategyProfile, _scored, require_valid, utilities
 from .numeric import DomainError, Number, number_less, numbers_equal, one_like
 
 DEFAULT_EPSILON = Fraction(1, 1000)
@@ -77,20 +81,20 @@ def thresholds(game: RankingGame, profile: StrategyProfile, player: int) -> tupl
     For n = 1 there are no opponents: every query reports cost 0 with
     tie_count 0, meaning the sole player wins everything for free.
     """
-    return _thresholds(game, profile, player, unit(game, profile))
-
-
-def _thresholds(
-    game: RankingGame, profile: StrategyProfile, player: int, one: Number
-) -> tuple[QueryThreshold, ...]:
     require_valid(game, profile)
+    one, columns = _scored(game, profile)
+    return _thresholds(game, columns, player, one)
+
+
+def _thresholds(game: RankingGame, columns, player: int, one: Number) -> tuple[QueryThreshold, ...]:
+    """Thresholds from a validated profile's query scores, in the mode of `one`."""
     if not 0 <= player < game.n:
         raise DomainError(f"player {player} outside [0, {game.n})")
     f = game.f
     zero = 0 * one
     out = []
-    for j in range(game.m):
-        opp_scores = [score(game, profile[k], j) for k in range(game.n) if k != player]
+    for j, column in enumerate(columns):
+        opp_scores = column[:player] + column[player + 1:]
         if not opp_scores:
             out.append(
                 QueryThreshold(j, cost=zero, top_is_peak=False, tie_count=0,
@@ -100,8 +104,6 @@ def _thresholds(
         top = max(opp_scores)
         tie_count = sum(1 for s in opp_scores if numbers_equal(s, top))
         cost = f.inverse_increasing_geq(top)
-        if isinstance(one, float):
-            cost = float(cost)  # exact opponent scores price exactly, the profile is float
         at_cost = f(cost)
         beats = number_less(top, at_cost)
         top_is_peak = numbers_equal(top, f.max_score)
@@ -130,16 +132,19 @@ def best_response_value(game: RankingGame, profile: StrategyProfile, player: int
     that exhaust the budget exactly while still needing a strict win
     margin, and so may be approached but not reached.
     """
-    one = unit(game, profile)
-    return _solve(game, _thresholds(game, profile, player, one), one)
+    require_valid(game, profile)
+    one, columns = _scored(game, profile)
+    return _respond(game, columns, player, one)[1]
 
 
-def _solve(game: RankingGame, ths, one: Number) -> BestResponse:
+def _respond(game: RankingGame, columns, player: int, one: Number):
+    """(thresholds, best response) of `player` against scored opponents."""
+    ths = _thresholds(game, columns, player, one)
     if game.n == 1:
         m_val = game.m * one
         plan = DeviationPlan(frozenset(range(game.m)), frozenset(), m_val, 0 * one)
-        return BestResponse(sup_value=m_val, attained_value=m_val, plan=plan)
-    return _optimize(ths, one)
+        return ths, BestResponse(sup_value=m_val, attained_value=m_val, plan=plan)
+    return ths, _optimize(ths, one)
 
 
 def _gains(th: QueryThreshold) -> tuple[Fraction, bool, Fraction]:
@@ -237,39 +242,32 @@ def best_response_witness(
     """
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    base = unit(game, profile)
-    ths = _thresholds(game, profile, player, base)
-    br = _solve(game, ths, base)
+    require_valid(game, profile)
+    base, columns = _scored(game, profile)
+    return _witness(game, profile, player, *_respond(game, columns, player, base), base, epsilon)
+
+
+def _witness(game, profile, player, ths, br: BestResponse, base: Number, epsilon) -> WitnessResult:
+    """Witness for the plan that `br` solved from `ths` in mode `base`."""
     one = one_like(base, epsilon)
     zero = 0 * one
-    eps = epsilon * one
-
     plan = br.plan
-    open_solos = [
-        j for j in sorted(plan.solo_set) if not ths[j].beats_at_cost
-    ]
+    open_solos = [j for j in plan.solo_set if not ths[j].beats_at_cost]
     total_cost = sum((ths[j].cost for j in plan.solo_set | plan.tie_set), zero)
 
     def build(margin):
         emphases = [zero] * game.m
-        for j in plan.tie_set:
+        for j in plan.solo_set | plan.tie_set:
             emphases[j] = ths[j].cost
-        for j in plan.solo_set:
-            if ths[j].beats_at_cost:
-                emphases[j] = ths[j].cost
-            else:
-                bumped = ths[j].cost + margin
-                emphases[j] = bumped if bumped < game.peak else game.peak
+        for j in open_solos:
+            emphases[j] = min(game.peak, ths[j].cost + margin)
         return emphases
 
-    if open_solos:
-        emphases = build(eps)
-        if sum(emphases) > one:
-            # requested margin overruns the budget: shrink to half the slack
-            eps = (one - total_cost) / (2 * len(open_solos))
-            emphases = build(eps)
-    else:
-        eps = zero
+    eps = epsilon * one if open_solos else zero
+    emphases = build(eps)
+    if open_solos and sum(emphases) > one:
+        # requested margin overruns the budget: shrink to half the slack
+        eps = (one - total_cost) / (2 * len(open_solos))
         emphases = build(eps)
     # f's knots are exact in a float profile: every emphasis joins the mode
     vec = EmphasisVector([e + zero for e in emphases])

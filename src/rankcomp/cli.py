@@ -45,7 +45,6 @@ from .game import (
     load_sequence,
     profile_to_dict,
     read_json,
-    require_valid,
     save_profile,
 )
 from .numeric import CapacityError, DomainError, dual_view, float_view, parse_number
@@ -239,7 +238,6 @@ def _nash_report_dict(report):
 @click.pass_context
 def game_verify(ctx, profile_path):
     g, profile = load_profile(profile_path)
-    require_valid(g, profile)
     _emit(ctx, _nash_report_dict(eq_mod.verify_nash(g, profile)))
 
 

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from math import factorial
 from typing import Optional, Sequence
 
-from .best_response import DEFAULT_EPSILON, best_response_value, best_response_witness
-from .game import RankingGame, StrategyProfile, require_valid, utilities
+from .best_response import DEFAULT_EPSILON, _respond, _witness
+from .game import RankingGame, StrategyProfile, _scored, _utilities, require_valid
 from .numeric import CapacityError, DomainError, Number, improves, numbers_equal
 
 #: most player relabelings symmetric cycle detection may try, (n-1)!
@@ -134,7 +135,6 @@ def run_dynamics(
     stays = 0
     last_move = -1
     fresh_state = True  # profile changed since the last recorded state
-    outcome: Optional[DynamicsOutcome] = None
 
     for t in range(max_rounds):
         mover = next(sched)
@@ -149,11 +149,14 @@ def run_dynamics(
             if cyc is not None:
                 outcome = DynamicsOutcome(kind="cycled", cycle=cyc)
                 break
+            # a witness is valid by construction, so each new profile is only scored
+            one, columns = _scored(game, profile)
+            utility = _utilities(game, columns, one)
 
-        current = utilities(game, profile)[mover]
-        br = best_response_value(game, profile, mover)
+        current = utility[mover]
+        ths, br = _respond(game, columns, mover, one)
         if improves(br.attained_value, current):
-            witness = best_response_witness(game, profile, mover, epsilon)
+            witness = _witness(game, profile, mover, ths, br, one, epsilon)
             profile = profile.replace(mover, witness.strategy)
             steps.append(DynamicsStep(t, mover, True, witness.value, profile))
             stays = 0
@@ -165,8 +168,7 @@ def run_dynamics(
             if stays >= game.n:
                 outcome = DynamicsOutcome(kind="converged", round=last_move + 1)
                 break
-
-    if outcome is None:
+    else:
         outcome = DynamicsOutcome(kind="budget_exhausted")
     return DynamicsTrace(initial=initial, steps=tuple(steps), outcome=outcome)
 
@@ -195,37 +197,42 @@ def verify_trace(
     equals the attained best-response value against the old one; a stay
     is optimal when nobody could improve (the profile is a fixed point
     for the scheduled player, which we check for all players since the
-    mover is unidentified).
+    mover is unidentified).  Each profile is validated and scored once.
     """
     if len(profiles) < 2:
         raise DomainError("need at least two profiles")
     for prof in profiles:
         require_valid(game, prof)
-    if movers is None:
-        movers = infer_movers(profiles)
+    movers = _movers(game, profiles, movers)
+    scored = [_scored(game, prof) for prof in profiles]
+    utility = [_utilities(game, columns, one) for one, columns in scored]
     reports = []
-    for t, ((before, after), mover) in enumerate(zip(zip(profiles, profiles[1:]), movers)):
+    for t, mover in enumerate(movers):
+        (one, columns), current = scored[t], utility[t]
+        players = range(game.n) if mover is None else (mover,)
+        attained = {i: _respond(game, columns, i, one)[1].attained_value for i in players}
         if mover is None:
             # report the player with the largest improvement gap; a stay is
             # optimal only when even that player cannot gain
-            current = utilities(game, before)
-            attained = [best_response_value(game, before, i).attained_value for i in range(game.n)]
-            _, i = max((attained[i] - current[i], i) for i in range(game.n))
+            _, i = max((attained[i] - current[i], i) for i in players)
             reports.append(TraceStepReport(t, None, current[i], attained[i],
                                            optimal=not improves(attained[i], current[i])))
-            continue
-        br = best_response_value(game, before, mover)
-        achieved = utilities(game, after)[mover]
-        reports.append(
-            TraceStepReport(
-                t,
-                mover,
-                achieved,
-                br.attained_value,
-                optimal=numbers_equal(achieved, br.attained_value),
-            )
-        )
+        else:
+            achieved = utility[t + 1][mover]
+            reports.append(TraceStepReport(t, mover, achieved, attained[mover],
+                                           optimal=numbers_equal(achieved, attained[mover])))
     return tuple(reports)
+
+
+def _movers(game: RankingGame, profiles, movers) -> Sequence[Optional[int]]:
+    """The given movers, checked to be one player or None per step, or the inferred ones."""
+    if movers is None:
+        return infer_movers(profiles)
+    if len(movers) != len(profiles) - 1:
+        raise DomainError(f"{len(movers)} movers for {len(profiles) - 1} steps")
+    if any(mv is not None and not 0 <= mv < game.n for mv in movers):
+        raise DomainError(f"movers must be players in [0, {game.n}) or None")
+    return movers
 
 
 def _profiles_equal(a: StrategyProfile, b: StrategyProfile) -> bool:
@@ -239,9 +246,7 @@ def _check_cycle_mode(game: RankingGame, mode: str) -> None:
     if mode not in CYCLE_MODES:
         raise DomainError(f"unknown cycle mode {mode!r}; expected one of {CYCLE_MODES}")
     if mode == "symmetric":
-        relabelings = 1
-        for k in range(2, game.n):
-            relabelings *= k
+        relabelings = factorial(game.n - 1)
         if relabelings > SYMMETRY_BUDGET:
             raise CapacityError(
                 f"symmetric cycle detection at n={game.n} would try (n-1)! = "
@@ -251,8 +256,6 @@ def _check_cycle_mode(game: RankingGame, mode: str) -> None:
 
 
 def _find_cycle(states, mode) -> Optional[CycleInfo]:
-    if len(states) < 2:
-        return None
     last_profile, last_mover = states[-1]
     j = len(states) - 1
     for i in range(j):
@@ -326,15 +329,8 @@ def detect_cycle(
     (for two players this is simply the other player).
     """
     _check_cycle_mode(game, mode)
-    if movers is None:
-        movers = infer_movers(profiles)
-    acted = [mv for mv in movers if mv is not None]
-    if acted:
-        nxt = _next_mover(acted, len(profiles[0]))
-    else:
-        nxt = 0
-    full = list(movers) + [nxt]
-    states = [(profiles[t], full[t]) for t in range(len(profiles))]
+    movers = _movers(game, profiles, movers)
+    states = list(zip(profiles, [*movers, _next_mover(movers, game.n)]))
     for j in range(1, len(states)):
         cyc = _find_cycle(states[: j + 1], mode)
         if cyc is not None:
@@ -342,8 +338,11 @@ def detect_cycle(
     return None
 
 
-def _next_mover(acted: list[int], n: int) -> int:
-    """Continue the observed mover rotation one step."""
+def _next_mover(movers: Sequence[Optional[int]], n: int) -> int:
+    """Continue the observed mover rotation one step; player 0 if nobody moved."""
+    acted = [mv for mv in movers if mv is not None]
+    if not acted:
+        return 0
     last = acted[-1]
     # look for the most recent successor of `last` in the history
     for t in range(len(acted) - 1):

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .best_response import best_response_value, best_response_witness
-from .game import EmphasisVector, RankingGame, StrategyProfile, require_valid, unit, utilities
+from .best_response import DEFAULT_EPSILON, _respond, _witness
+from .game import EmphasisVector, RankingGame, StrategyProfile, _scored, _utilities, require_valid, unit
 from .numeric import DomainError, Number, ceil_div, improves, parse_number
 
 
@@ -117,14 +117,11 @@ def _peak_assignment_profile(game: RankingGame) -> StrategyProfile:
     # player's k queries distinct because no count exceeds n
     total = n * k
     base, extra = divmod(total, m)
-    slots: list[int] = []
-    for j in range(m):
-        slots.extend([j] * (base + (1 if j < extra else 0)))
+    counts = [base + (1 if j < extra else 0) for j in range(m)]
+    slots = [j for j in range(m) for _ in range(counts[j])]
     owned: list[set[int]] = [set() for _ in range(n)]
-    counts = [0] * m
     for pos, j in enumerate(slots):
         owned[pos % n].add(j)
-        counts[j] += 1
 
     leftover = one - k * p
     remainders = [0] * m
@@ -137,19 +134,14 @@ def _peak_assignment_profile(game: RankingGame) -> StrategyProfile:
         singles = [j for j in range(m) if counts[j] == 1]
         owner_of = {j: next(i for i in range(n) if j in owned[i]) for j in singles}
         assigned: set[int] = set()
-        if singles:
+        for t, j in enumerate(singles):
             if len(singles) == 1:
-                j = singles[0]
                 helper = next(i for i in range(n) if j not in owned[i])
-                dump[helper] = j
-                remainders[j] += 1
-                assigned.add(helper)
             else:
-                for t, j in enumerate(singles):
-                    helper = owner_of[singles[(t + 1) % len(singles)]]
-                    dump[helper] = j
-                    remainders[j] += 1
-                    assigned.add(helper)
+                helper = owner_of[singles[(t + 1) % len(singles)]]
+            dump[helper] = j
+            remainders[j] += 1
+            assigned.add(helper)
         for i in range(n):
             if i in assigned:
                 continue
@@ -220,20 +212,20 @@ def verify_nash(game: RankingGame, profile: StrategyProfile) -> NashReport:
     """Exact Nash check via attained best-response values.
 
     In rational mode the comparison is exact; with floats a 1e-9
-    tolerance applies.  For any player with a strictly improving
-    deviation, a witness strategy achieving it is included.
+    tolerance applies.  The profile is validated and scored once, and
+    each player's best response is solved once.  For any player with a
+    strictly improving deviation, a witness strategy achieving it is
+    included.
     """
     require_valid(game, profile)
-    current = utilities(game, profile)
+    one, columns = _scored(game, profile)
+    current = _utilities(game, columns, one)
     per_player = []
-    is_nash = True
     for i in range(game.n):
-        br = best_response_value(game, profile, i)
-        improving = improves(br.attained_value, current[i])
+        ths, br = _respond(game, columns, i, one)
         witness = None
-        if improving:
-            is_nash = False
-            witness = best_response_witness(game, profile, i).strategy
+        if improves(br.attained_value, current[i]):
+            witness = _witness(game, profile, i, ths, br, one, DEFAULT_EPSILON).strategy
         per_player.append(
             PlayerDeviation(
                 player=i,
@@ -242,4 +234,5 @@ def verify_nash(game: RankingGame, profile: StrategyProfile) -> NashReport:
                 improving_witness=witness,
             )
         )
+    is_nash = all(row.improving_witness is None for row in per_player)
     return NashReport(is_nash=is_nash, per_player=tuple(per_player))

@@ -7,7 +7,8 @@ document for query j is f applied to its j-th emphasis.  Per query, the
 players sharing the top score split one unit of utility equally — the
 expected value of "ties broken arbitrarily" under a uniform draw, and the
 only sharing rule consistent with two identical documents earning m/2
-each.
+each.  Rankings, utilities and best-response thresholds all read their
+scores from :func:`query_scores`, the one place a score's mode is set.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .numeric import (
     DomainError,
     Number,
     dual_view,
-    is_exact,
     numbers_equal,
     one_like,
     parse_number,
@@ -227,28 +227,30 @@ def score(game: RankingGame, strategy: EmphasisVector, query_index: int) -> Numb
     return game.f(strategy[query_index])
 
 
+def query_scores(game: RankingGame, profile: StrategyProfile) -> tuple[tuple[Number, ...], ...]:
+    """Every query's scores, indexed by player, in the profile's mode (see numeric)."""
+    f = game.f
+    columns = tuple(tuple(f(vec[j]) for vec in profile.strategies) for j in range(game.m))
+    if isinstance(unit(game, profile), float):
+        return tuple(tuple(map(float, column)) for column in columns)
+    return columns
+
+
 def induce_ranking(game: RankingGame, profile: StrategyProfile, query_index: int) -> InducedRanking:
     """Rank players by descending score; equal scores share a tie group.
 
-    The scores share one mode: when any of them is a float (a float
-    emphasis or knot), all are reported as floats.
+    The scores are one query's column of :func:`query_scores`.
     """
-    scores = [(score(game, profile[i], query_index), i) for i in range(game.n)]
-    if not is_exact(*(s for s, _ in scores)):
-        scores = [(float(s), i) for s, i in scores]
-    # stable two-pass sort keeps exact rationals exact: by id, then score desc
-    scores.sort(key=lambda t: t[1])
-    scores.sort(key=lambda t: t[0], reverse=True)
-    groups: list[TieGroup] = []
-    for s, i in scores:
-        if groups and numbers_equal(groups[-1].score, s):
-            groups[-1] = TieGroup(groups[-1].score, groups[-1].players + (i,))
+    if not 0 <= query_index < game.m:
+        raise DomainError(f"query index {query_index} outside [0, {game.m})")
+    column = query_scores(game, profile)[query_index]
+    groups: list[tuple[Number, list[int]]] = []
+    for i in sorted(range(len(column)), key=column.__getitem__, reverse=True):
+        if groups and numbers_equal(groups[-1][0], column[i]):
+            groups[-1][1].append(i)
         else:
-            groups.append(TieGroup(s, (i,)))
-    return InducedRanking(
-        query_index=query_index,
-        tie_groups=tuple(TieGroup(g.score, tuple(sorted(g.players))) for g in groups),
-    )
+            groups.append((column[i], [i]))
+    return InducedRanking(query_index, tuple(TieGroup(s, tuple(sorted(p))) for s, p in groups))
 
 
 def unit(game: RankingGame, *profiles: StrategyProfile) -> Number:
@@ -259,12 +261,22 @@ def unit(game: RankingGame, *profiles: StrategyProfile) -> Number:
 
 def utilities(game: RankingGame, profile: StrategyProfile) -> tuple[Number, ...]:
     """Per-player expected utility: each query's top group splits one unit."""
-    one = unit(game, profile)
+    one, columns = _scored(game, profile)
+    return _utilities(game, columns, one)
+
+
+def _scored(game: RankingGame, profile: StrategyProfile):
+    """(unit, query scores): what the solver's private helpers read of a profile."""
+    return unit(game, profile), query_scores(game, profile)
+
+
+def _utilities(game: RankingGame, columns, one: Number) -> tuple[Number, ...]:
     out = [0 * one] * game.n
-    for j in range(game.m):
-        top = induce_ranking(game, profile, j).top_players
-        share = one / len(top)
-        for i in top:
+    for column in columns:
+        top = max(column)
+        winners = [i for i, s in enumerate(column) if numbers_equal(s, top)]
+        share = one / len(winners)
+        for i in winners:
             out[i] = out[i] + share
     return tuple(out)
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import kernels
 from .equilibria import verify_nash
-from .game import EmphasisVector, RankingGame, SinglePeakFunction, StrategyProfile, utilities
+from .game import EmphasisVector, RankingGame, SinglePeakFunction, StrategyProfile, _scored, _utilities
 from .numeric import CapacityError, DomainError, Number, improves, parse_number
 
 DEFAULT_BUDGET = 100_000_000
@@ -94,18 +94,10 @@ def profile_count(spec: GridSpec) -> int:
 
 def grid_strategies(spec: GridSpec) -> list[tuple[int, ...]]:
     """All numerator vectors (c_1..c_m), sum <= g, lexicographic."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for c in range(remaining + 1):
-            prefix.append(c)
-            rec(prefix, remaining - c, slots - 1)
-            prefix.pop()
-
-    rec([], spec.g, spec.m)
+    out: list[tuple[int, ...]] = [()]
+    for _ in range(spec.m):
+        # extending each prefix in order, by ascending c, keeps the order
+        out = [v + (c,) for v in out for c in range(spec.g + 1 - sum(v))]
     return out
 
 
@@ -207,13 +199,21 @@ def _nash(game, profile, alternatives) -> bool:
 
 
 def _grid_stable(game, profile, alternatives) -> bool:
+    """No player gains by switching to a grid strategy.
+
+    The profile and the alternatives are scored once, together; a
+    deviation swaps the deviator's score on each query.
+    """
     alternatives = tuple(alternatives)  # iterated once per player
-    current = utilities(game, profile)
+    stacked = StrategyProfile(profile.strategies + alternatives)
+    one, columns = _scored(game, stacked)
+    current = _utilities(game, [column[:game.n] for column in columns], one)
     for i in range(game.n):
-        for alt in alternatives:
+        for k, alt in enumerate(alternatives, game.n):
             if alt.emphases == profile[i].emphases:
                 continue
-            if improves(utilities(game, profile.replace(i, alt))[i], current[i]):
+            swapped = [column[:i] + (column[k],) + column[i + 1:game.n] for column in columns]
+            if improves(_utilities(game, swapped, one)[i], current[i]):
                 return False
     return True
 

@@ -50,16 +50,16 @@ def simplex_cap(*emphases: Number) -> Number:
 
 
 def numbers_equal(a: Number, b: Number) -> bool:
-    if is_exact(a, b):
-        return a == b
-    return abs(a - b) <= FLOAT_TOL
+    if isinstance(a, float) or isinstance(b, float):
+        return abs(a - b) <= FLOAT_TOL
+    return a == b
 
 
 def number_less(a: Number, b: Number) -> bool:
     """a < b strictly, beyond tolerance in float mode."""
-    if is_exact(a, b):
-        return a < b
-    return a < b - FLOAT_TOL
+    if isinstance(a, float) or isinstance(b, float):
+        return a < b - FLOAT_TOL
+    return a < b
 
 
 def improves(new: Number, old: Number) -> bool:

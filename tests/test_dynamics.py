@@ -53,6 +53,15 @@ class TestVerifyTrace:
     def test_infer_movers(self):
         assert infer_movers(SEQUENCE) == [1, 0, 1]
 
+    @pytest.mark.parametrize("check", [verify_trace, detect_cycle])
+    @pytest.mark.parametrize("movers", [[1], [1, 0, 1, 0], [1, 0, 2]],
+                             ids=["short", "long", "no_player_2"])
+    def test_movers_must_name_one_player_per_step(self, check, movers):
+        # verify_trace used to drop the steps past a short list silently,
+        # detect_cycle to raise IndexError
+        with pytest.raises(DomainError, match="movers"):
+            check(GAME, SEQUENCE, movers)
+
 
 class TestDetectCycle:
     def test_reference_sequence_symmetric_cycle(self):

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_fraction, random_strategy
-from rankcomp.best_response import best_response_value, best_response_witness
+from rankcomp import best_response, game as game_module
+from rankcomp.best_response import best_response_value, best_response_witness, thresholds
 from rankcomp.equilibria import verify_nash
 from rankcomp.game import RankingGame, StrategyProfile, induce_ranking, utilities
 from rankcomp.numeric import improves, numbers_equal, one_like
@@ -78,7 +79,37 @@ def test_a_float_profile_scores_in_float_on_every_query():
     for q in range(3):
         groups = induce_ranking(game, profile, q).tie_groups
         assert all(type(group.score) is float for group in groups), (q, groups)
+    # query 0 holds only exact emphases, query 1 a float: the profile ranks
+    # and prices in floats on every query, query 0 included
+    mixed = StrategyProfile([[Fraction(1, 4), 0.25, 0], [Fraction(1, 2), 0, Fraction(1, 4)]])
+    for q in range(3):
+        groups = induce_ranking(game, mixed, q).tie_groups
+        assert all(type(group.score) is float for group in groups), (q, groups)
+    for player in range(2):
+        costs = [th.cost for th in thresholds(game, mixed, player)]
+        assert [type(c) for c in costs] == [float] * 3, (player, costs)
     assert type(game.f(0.5)) is float and type(game.f(Fraction(1, 2))) is Fraction
     assert type(game.f.inverse_increasing_geq(1.0)) is float
     assert type(game.f.inverse_increasing_geq(0.0)) is float
     assert type(game.f.inverse_increasing_geq(Fraction(1))) is Fraction
+
+
+def test_verify_nash_validates_once_and_solves_once_per_player(monkeypatch):
+    # player 2 idles on a query the others leave open, so it can improve
+    game = RankingGame.tent(3, 3, Fraction(1, 3))
+    third = Fraction(1, 3)
+    profile = StrategyProfile([[third, third, 0], [third, third, 0], [0, 0, 0]])
+    counts = {"validate": 0, "solve": 0}
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(game_module, "validate_profile",
+                        counting("validate", game_module.validate_profile))
+    monkeypatch.setattr(best_response, "_optimize", counting("solve", best_response._optimize))
+    report = verify_nash(game, profile)
+    assert not report.is_nash and report.per_player[2].improving_witness is not None
+    assert counts == {"validate": 1, "solve": 3}
