@@ -240,8 +240,6 @@ def best_response_witness(
     wins, so the witness always validates.  The achieved utility is
     recomputed through :func:`utilities` and asserted to match.
     """
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
     require_valid(game, profile)
     base, columns = _scored(game, profile)
     return _witness(game, profile, player, *_respond(game, columns, player, base), base, epsilon)
@@ -249,6 +247,8 @@ def best_response_witness(
 
 def _witness(game, profile, player, ths, br: BestResponse, base: Number, epsilon) -> WitnessResult:
     """Witness for the plan that `br` solved from `ths` in mode `base`."""
+    if epsilon <= 0:
+        raise DomainError("epsilon must be positive")
     one = one_like(base, epsilon)
     zero = 0 * one
     plan = br.plan

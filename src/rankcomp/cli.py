@@ -41,10 +41,12 @@ from .competition_log import (
 )
 from .game import (
     RankingGame,
+    _scored,
     load_profile,
     load_sequence,
     profile_to_dict,
     read_json,
+    require_valid,
     save_profile,
 )
 from .numeric import CapacityError, DomainError, dual_view, float_view, parse_number
@@ -252,8 +254,10 @@ def game_verify(ctx, profile_path):
 @click.pass_context
 def game_best_response(ctx, profile_path, player, epsilon):
     g, profile = load_profile(profile_path)
-    res = br_mod.best_response_value(g, profile, player)
-    wit = br_mod.best_response_witness(g, profile, player, parse_number(epsilon))
+    require_valid(g, profile)
+    one, columns = _scored(g, profile)
+    ths, res = br_mod._respond(g, columns, player, one)
+    wit = br_mod._witness(g, profile, player, ths, res, one, parse_number(epsilon))
     _emit(
         ctx,
         {
@@ -514,7 +518,8 @@ def predict_build(ctx, log_path, out, stops, normalize):
 @predict.command("cv")
 @click.option("--instances", "instances_path", type=click.Path(exists=True), required=True)
 @click.option("--params", default="1,10,50,100")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=int, default=None,
+              help="A label only: the fits are deterministic, so every seed prints the same.")
 @click.option("--sections", default=None,
               help="Comma-separated feature sections to keep (ablation).")
 @_schema_option({"folds": [{"test_round": "int", "selected_param": "float", "acc": "float",

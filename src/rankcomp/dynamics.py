@@ -345,7 +345,7 @@ def _next_mover(movers: Sequence[Optional[int]], n: int) -> int:
         return 0
     last = acted[-1]
     # look for the most recent successor of `last` in the history
-    for t in range(len(acted) - 1):
+    for t in reversed(range(len(acted) - 1)):
         if acted[t] == last:
             return acted[t + 1]
     return (last + 1) % n

@@ -26,6 +26,7 @@ accuracy.
 
 from __future__ import annotations
 
+import csv
 import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
@@ -255,7 +256,8 @@ def normalize_per_query(instances: Sequence[PredictionInstance]) -> list[Predict
     Constant features map to zero; labels are untouched.  Idempotent.
     """
     out = []
-    for members in _group_instances(instances).values():
+    for rows in _group_rows(instances).values():
+        members = [instances[i] for i in rows]
         cols = list(zip(*(inst.features for inst in members)))
         lo = [min(col) for col in cols]
         hi = [max(col) for col in cols]
@@ -289,14 +291,18 @@ def mask_sections(
 # --- prediction and baselines ------------------------------------------------
 
 
+def _pick(scores: Sequence[float], publishers: Sequence[str]) -> str:
+    """Highest score wins by exact equality; ties go to the lowest publisher id."""
+    best = min(range(len(publishers)), key=lambda i: (-scores[i], publishers[i]))
+    return publishers[best]
+
+
 def predict_winner(model: LinearModel, group: Sequence[PredictionInstance]) -> str:
     """Highest decision score wins; ties go to the lowest publisher id."""
     if not group:
         raise DomainError("empty candidate group")
     X = np.array([inst.features for inst in group], dtype=np.float64)
-    scores = model.decision_scores(X)
-    best = min(range(len(group)), key=lambda i: (-scores[i], group[i].publisher))
-    return group[best].publisher
+    return _pick(model.decision_scores(X), [inst.publisher for inst in group])
 
 
 @dataclass(frozen=True)
@@ -307,22 +313,24 @@ class GroupPrediction:
     candidates: tuple[str, ...]
 
 
-def _group_instances(
-    instances: Sequence[PredictionInstance],
-) -> dict[tuple, list[PredictionInstance]]:
-    groups: dict[tuple, list[PredictionInstance]] = {}
-    for inst in instances:
-        groups.setdefault(inst.group_key, []).append(inst)
-    return groups
+def _group_rows(instances: Sequence[PredictionInstance]) -> dict[tuple, list[int]]:
+    """Row positions of each candidate group, groups in first-seen order."""
+    rows: dict[tuple, list[int]] = {}
+    for i, inst in enumerate(instances):
+        rows.setdefault(inst.group_key, []).append(i)
+    return rows
 
 
-def _winner_of(group: Sequence[PredictionInstance]) -> str:
-    winners = [inst.publisher for inst in group if inst.label]
-    if len(winners) != 1:
-        raise DomainError(
-            f"group {group[0].group_key} has {len(winners)} positive labels, expected 1"
-        )
-    return winners[0]
+def _candidate_groups(instances: Sequence[PredictionInstance]) -> list[tuple]:
+    """(key, row positions, candidates, winner) of each group, in key order."""
+    out = []
+    for key, rows in sorted(_group_rows(instances).items()):
+        members = [instances[i] for i in rows]
+        winners = [inst.publisher for inst in members if inst.label]
+        if len(winners) != 1:
+            raise DomainError(f"group {key} has {len(winners)} positive labels, expected 1")
+        out.append((key, rows, tuple(inst.publisher for inst in members), winners[0]))
+    return out
 
 
 BASELINE_NAMES = ("rand", "qmaj", "tmaj", "allw", "alll")
@@ -340,14 +348,10 @@ def baselines(
     allw marks every candidate a winner, alll none.
     """
     rng = random.Random(seed)
-    groups = _group_instances(instances)
     out: dict[str, list[GroupPrediction]] = {name: [] for name in BASELINE_NAMES}
-    for key in sorted(groups):
-        members = groups[key]
+    for key, _, candidates, winner in _candidate_groups(instances):
         topic_id, q, l = key
         topic = log.topic(topic_id)
-        candidates = tuple(inst.publisher for inst in members)
-        winner = _winner_of(members)
 
         def past_wins(pub: str, queries: Sequence[int]) -> int:
             return sum(
@@ -379,22 +383,28 @@ def baselines(
     return out
 
 
+def _layout(instances: Sequence[PredictionInstance]) -> tuple[np.ndarray, np.ndarray, list]:
+    """(X, y, groups): rows and labels in input order, and :func:`_candidate_groups`."""
+    X = np.array([inst.features for inst in instances], dtype=np.float64)
+    y = np.array([1.0 if inst.label else 0.0 for inst in instances])
+    return X, y, _candidate_groups(instances)
+
+
+def _predict_groups(model: LinearModel, layout: tuple) -> list[GroupPrediction]:
+    """Each group's predicted winner, from one product over the layout's rows."""
+    X, _, groups = layout
+    scores = model.decision_scores(X).tolist()
+    return [
+        GroupPrediction(key, frozenset([_pick([scores[i] for i in rows], cands)]), winner, cands)
+        for key, rows, cands, winner in groups
+    ]
+
+
 def model_predictions(
     model: LinearModel, instances: Sequence[PredictionInstance]
 ) -> list[GroupPrediction]:
-    groups = _group_instances(instances)
-    out = []
-    for key in sorted(groups):
-        members = groups[key]
-        out.append(
-            GroupPrediction(
-                key,
-                frozenset([predict_winner(model, members)]),
-                _winner_of(members),
-                tuple(inst.publisher for inst in members),
-            )
-        )
-    return out
+    """One prediction per candidate group, in key order, as :func:`predict_winner` picks."""
+    return _predict_groups(model, _layout(instances)) if instances else []
 
 
 def evaluate(predictions: Sequence[GroupPrediction]) -> tuple[float, float]:
@@ -442,17 +452,6 @@ class CvReport:
     params: tuple[float, ...]
 
 
-def _stack(instances: Sequence[PredictionInstance]) -> tuple[np.ndarray, np.ndarray]:
-    X = np.array([inst.features for inst in instances], dtype=np.float64)
-    y = np.array([1.0 if inst.label else 0.0 for inst in instances])
-    return X, y
-
-
-def _fit_on(instances: Sequence[PredictionInstance], param: float, seed: int) -> LinearModel:
-    X, y = _stack(instances)
-    return train_lreg(X, y, param, seed=seed)
-
-
 def cross_validate(
     instances: Sequence[PredictionInstance],
     params: Sequence[float] = (1.0, 10.0, 50.0, 100.0),
@@ -472,19 +471,21 @@ def cross_validate(
     parameters together; with R rounds that is R(R-1)/2 batched fits plus
     R single-parameter refits, with results identical to fitting every
     (fold, parameter) pair on its own.
+
+    Each round's rows and candidate groups are built once, and a model
+    scores a round with one product.  ``seed`` is only a label: it lands
+    in each model's ``meta``, which the report does not show.
     """
     rounds = sorted({inst.round_index for inst in instances})
     if len(rounds) < 3:
         raise DomainError(f"cross-validation needs >= 3 rounds, got {len(rounds)}")
-    by_round: dict[int, list[PredictionInstance]] = {r: [] for r in rounds}
-    for inst in instances:
-        by_round[inst.round_index].append(inst)
-    stacked = {r: _stack(members) for r, members in by_round.items()}
+    layouts = {r: _layout([inst for inst in instances if inst.round_index == r]) for r in rounds}
 
     def training_set(fit_rounds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        # rounds in ascending order, each round's rows in input order
         return (
-            np.concatenate([stacked[r][0] for r in fit_rounds]),
-            np.concatenate([stacked[r][1] for r in fit_rounds]),
+            np.concatenate([layouts[r][0] for r in fit_rounds]),
+            np.concatenate([layouts[r][1] for r in fit_rounds]),
         )
 
     # sorted fit rounds -> one model per parameter, or None without both
@@ -507,14 +508,12 @@ def cross_validate(
             if models is None:
                 continue
             for accs, model in zip(accs_per_param, models):
-                acc, _ = evaluate(model_predictions(model, by_round[val_round]))
-                accs.append(acc)
+                accs.append(evaluate(_predict_groups(model, layouts[val_round]))[0])
         mean_acc_per_param = [sum(accs) / len(accs) if accs else 0.0 for accs in accs_per_param]
         best_idx = max(range(len(params)), key=lambda i: (mean_acc_per_param[i], -i))
         best_param = params[best_idx]
-        X, y = training_set(train_rounds)
-        model = train_lreg(X, y, best_param, seed=seed)
-        acc, f1 = evaluate(model_predictions(model, by_round[test_round]))
+        model = train_lreg(*training_set(train_rounds), best_param, seed=seed)
+        acc, f1 = evaluate(_predict_groups(model, layouts[test_round]))
         folds.append(FoldReport(test_round, best_param, acc, f1))
 
     return CvReport(
@@ -531,8 +530,6 @@ CSV_ID_COLUMNS = ("topic_id", "query_index", "round_index", "publisher")
 
 
 def instances_to_csv(path, instances: Sequence[PredictionInstance]) -> None:
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(CSV_ID_COLUMNS) + list(FEATURE_NAMES) + ["label"])
@@ -546,8 +543,6 @@ def instances_to_csv(path, instances: Sequence[PredictionInstance]) -> None:
 
 def instances_from_csv(path) -> list[PredictionInstance]:
     """Read an instance CSV; a malformed row is a DomainError naming its line."""
-    import csv
-
     out = []
     expected = list(CSV_ID_COLUMNS) + list(FEATURE_NAMES) + ["label"]
     with open(path, "r", encoding="utf-8", newline="") as fh:

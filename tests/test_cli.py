@@ -79,6 +79,37 @@ class TestGameCommands:
         assert data["sup_value"] == 2.5
         assert data["witness"] == [0.5, 0.0, 0.2]
 
+    def test_best_response_validates_and_solves_once(self, runner, tmp_path, monkeypatch):
+        from rankcomp import best_response, game
+
+        counts = {"validate": 0, "solve": 0}
+
+        def counting(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(game, "validate_profile", counting("validate", game.validate_profile))
+        monkeypatch.setattr(best_response, "_optimize", counting("solve", best_response._optimize))
+        prof = write_json(tmp_path / "p.json", {"n": 2, "m": 3, "peak": 0.5, "strategies":
+                                                [["0", "0", "0"], ["0.4", "0.5", "0.1"]]})
+        res = invoke(runner, ["game", "best-response", "--profile", str(prof),
+                              "--player", "0", "--epsilon", "0.1"])
+        assert json.loads(res.output)["witness"] == [0.5, 0.0, 0.2]
+        assert counts == {"validate": 1, "solve": 1}
+        res = runner.invoke(main, ["game", "best-response", "--profile", str(prof),
+                                   "--player", "0", "--epsilon", "0"])
+        assert json_error(res) == "epsilon must be positive"
+
+    def test_dynamics_refuses_a_nonpositive_epsilon(self, runner, tmp_path):
+        # the first move needs a witness, which used to fail its own assertion
+        start = write_json(tmp_path / "s.json", {"n": 2, "m": 3, "peak": 0.5, "strategies":
+                                                 [["0.3", "0.4", "0"], ["0.2", "0.3", "0.5"]]})
+        res = runner.invoke(main, ["game", "dynamics", "--init", str(start),
+                                   "--epsilon", "0", "--max-rounds", "2"])
+        assert json_error(res) == "epsilon must be positive"
+
     def test_dynamics_replay_reference_sequence(self, runner, tmp_path):
         seq = tmp_path / "seq.json"
         seq.write_text(
@@ -647,6 +678,12 @@ class TestFlags:
         assert full["equilibria_exact"] == sym["equilibria_exact"]
         assert full["profiles_checked"] == full["strategy_count"] ** 2
         assert full["profiles_checked"] > sym["profiles_checked"]
+
+    def test_cv_seed_is_only_a_label(self, runner, log, tmp_path):
+        inst = tmp_path / "inst.csv"
+        invoke(runner, ["predict", "build", "--log", str(log), "--out", str(inst)])
+        args = ["predict", "cv", "--instances", str(inst), "--params", "1,10", "--seed"]
+        assert invoke(runner, args + ["1"]).output == invoke(runner, args + ["2"]).output
 
     def test_table_format_renders_nested_results(self, runner, log, tmp_path):
         inst = tmp_path / "inst.csv"

@@ -6,6 +6,7 @@ from symmetry_oracle import symmetric_match_oracle
 
 from rankcomp.dynamics import (
     SYMMETRY_BUDGET,
+    _next_mover,
     _symmetric_match,
     detect_cycle,
     infer_movers,
@@ -52,6 +53,13 @@ class TestVerifyTrace:
 
     def test_infer_movers(self):
         assert infer_movers(SEQUENCE) == [1, 0, 1]
+
+    def test_next_mover_follows_the_most_recent_successor(self):
+        # player 0 was followed by 1, then by 2: the rotation continues with 2
+        assert _next_mover([0, 1, 0, 2, 0], 3) == 2
+        assert _next_mover([0, 1, 2, 0, 1], 3) == 2
+        assert _next_mover([None, 1], 3) == 2
+        assert _next_mover([None, None], 3) == 0
 
     @pytest.mark.parametrize("check", [verify_trace, detect_cycle])
     @pytest.mark.parametrize("movers", [[1], [1, 0, 1, 0], [1, 0, 2]],

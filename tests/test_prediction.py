@@ -1,10 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rankcomp import kernels
+from rankcomp import prediction as prediction_module
 from rankcomp.competition_log import (
     CompetitionLog,
     GameHistory,
@@ -504,8 +506,6 @@ class TestCrossValidate:
         for inst in insts:
             by_round.setdefault(inst.round_index, []).append(inst)
         rounds = sorted(by_round)
-        from rankcomp.prediction import _fit_on
-
         for fold in report.folds:
             train_rounds = [r for r in rounds if r != fold.test_round]
             means = []
@@ -516,7 +516,7 @@ class TestCrossValidate:
                     labels = {i.label for i in fit}
                     if labels != {True, False} or not by_round[val]:
                         continue
-                    model = _fit_on(fit, param, 0)
+                    model = train_lreg(*prediction_module._layout(fit)[:2], param, seed=0)
                     acc, _ = evaluate(model_predictions(model, by_round[val]))
                     accs.append(acc)
                 means.append(sum(accs) / len(accs) if accs else 0.0)
@@ -538,9 +538,26 @@ class TestCrossValidate:
             mask_sections(insts, ["nonsense"])
 
 
+def reference_predictions(model, instances):
+    """One prediction per candidate group, each group scored on its own array."""
+    groups = {}
+    for inst in instances:
+        groups.setdefault(inst.group_key, []).append(inst)
+    return [
+        GroupPrediction(
+            key,
+            frozenset([predict_winner(model, members)]),
+            next(inst.publisher for inst in members if inst.label),
+            tuple(inst.publisher for inst in members),
+        )
+        for key, members in sorted(groups.items())
+    ]
+
+
 def reference_cross_validate(instances, params, seed=0):
     """Nested leave-one-round-out CV written as plain loops: every (fold,
-    parameter, validation round) is fit on its own, with no sharing."""
+    parameter, validation round) is fit on its own, with no sharing, and
+    every candidate group is scored on its own array."""
     by_round = {}
     for inst in instances:
         by_round.setdefault(inst.round_index, []).append(inst)
@@ -562,11 +579,11 @@ def reference_cross_validate(instances, params, seed=0):
                 if {i.label for i in fit_insts} != {True, False}:
                     continue
                 model = fit(fit_insts, param)
-                accs.append(evaluate(model_predictions(model, by_round[val]))[0])
+                accs.append(evaluate(reference_predictions(model, by_round[val]))[0])
             means.append(sum(accs) / len(accs) if accs else 0.0)
         best = params[max(range(len(params)), key=lambda i: (means[i], -i))]
         model = fit([i for r in train for i in by_round[r]], best)
-        acc, f1 = evaluate(model_predictions(model, by_round[test]))
+        acc, f1 = evaluate(reference_predictions(model, by_round[test]))
         folds.append(FoldReport(test, best, acc, f1))
     return CvReport(
         folds=tuple(folds),
@@ -640,6 +657,61 @@ class TestCrossValidateEngine:
         # 8 * 7 / 2 inner training sets for all four C values, then 8 refits
         assert len(batch_sizes) == 28 + 8
         assert sorted(batch_sizes) == [1] * 8 + [4] * 28
+
+    def test_one_product_per_model_and_scored_round(self, monkeypatch):
+        log = synthesize(SynthesisConfig(topics=2, rounds=10), seed=33)
+        insts = normalize_per_query(build_instances(log))
+        products = []
+        scores = LinearModel.decision_scores
+
+        def counting_scores(model, X):
+            products.append(len(X))
+            return scores(model, X)
+
+        monkeypatch.setattr(LinearModel, "decision_scores", counting_scores)
+        cross_validate(insts, (1.0, 10.0, 50.0, 100.0))
+        # 8 folds x 7 validation rounds x 4 models, then 8 refits on the test round
+        assert len(products) == 8 * 7 * 4 + 8
+        per_round = sorted(len([i for i in insts if i.round_index == r]) for r in range(3, 11))
+        assert sorted(set(products)) == sorted(set(per_round))
+
+    def test_training_rows_keep_round_then_input_order(self, monkeypatch):
+        # rounds interleaved in the input; feature 0 carries each row's id
+        np_rng = np.random.default_rng(13)
+        insts = random_instances(np_rng, {r: [3, 2, 4] for r in range(3, 7)})
+        random.Random(5).shuffle(insts)
+        insts = [replace(inst, features=(float(k),) + inst.features[1:])
+                 for k, inst in enumerate(insts)]
+        seen = []
+
+        def recording(X, y, *args, **kwargs):
+            seen.append((np.array(X), np.array(y)))
+            return train_lreg_grid(X, y, *args, **kwargs)
+
+        monkeypatch.setattr(prediction_module, "train_lreg_grid", recording)
+        monkeypatch.setattr(prediction_module, "train_lreg",
+                            lambda X, y, c, **kw: recording(X, y, (c,), **kw)[0])
+        cross_validate(insts, (1.0, 10.0))
+        assert len(seen) == 4 * 3 // 2 + 4
+        for X, y in seen:
+            ids = [int(v) for v in X[:, 0]]
+            fit_rounds = sorted({insts[k].round_index for k in ids})
+            expected = [k for r in fit_rounds for k, inst in enumerate(insts)
+                        if inst.round_index == r]
+            assert ids == expected
+            assert list(y) == [1.0 if insts[k].label else 0.0 for k in ids]
+
+    def test_model_predictions_match_per_group_scoring(self):
+        np_rng = np.random.default_rng(14)
+        insts = random_instances(np_rng, {r: [3, 1, 4] for r in range(3, 6)})
+        random.Random(6).shuffle(insts)
+        trained = train_lreg(*prediction_module._layout(insts)[:2], 10.0)
+        # zero weights tie every candidate, so the lowest publisher id wins
+        flat = LinearModel((0.0,) * FEATURE_DIM, 0.0, 1.0, {})
+        for model in (trained, flat):
+            assert model_predictions(model, insts) == reference_predictions(model, insts)
+        assert all(gp.predicted_positive == {"p0"} for gp in model_predictions(flat, insts))
+        assert model_predictions(trained, []) == []
 
 
 class TestPairedTTest:
