@@ -1,8 +1,7 @@
 """Hot numeric kernels.
 
-Two inner loops dominate runtime: screening millions of grid profiles for
-equilibrium candidates, and the proximal-gradient fits inside the
-cross-validation protocol.  Each is one vectorized numpy function.
+One inner loop dominates runtime: screening millions of grid profiles
+for equilibrium candidates.  It is vectorized numpy throughout.
 
 The screen asks, for every player of every grid profile, whether some
 deviation beats the player's current utility.  A player's best deviation
@@ -21,11 +20,7 @@ whose exact values are rationals with small denominators, so a 1e-9
 acceptance margin cannot misclassify; accepted profiles are re-verified
 exactly by the caller.
 
-``logreg_fit`` solves a whole grid of regularization strengths on one
-training set at once.
-
-``python3 perfbench/run.py --workload grid`` and ``--workload predict``
-time them end to end.
+``python3 perfbench/run.py --workload grid`` times it end to end.
 """
 
 from __future__ import annotations
@@ -237,66 +232,3 @@ def grid_screen(strat: np.ndarray, prof: np.ndarray, f, best: np.ndarray) -> np.
             current += _share(col[i], col[:i] + col[i + 1 :])
         ok &= best[multiset_rank(cols[:i] + cols[i + 1 :], S)] <= current + _MARGIN
     return ok.astype(np.uint8)
-
-
-# ---------------------------------------------------------------------------
-# L1 logistic regression: FISTA with soft-thresholding (bias unpenalized)
-# ---------------------------------------------------------------------------
-
-
-def logreg_fit(X, y, alphas, step, n_iters):
-    """FISTA on mean logistic loss + alpha * ||w||_1 (bias free), for K alphas.
-
-    X: (N, D), y: (N,) in {0, 1}, alphas: (K,).  Returns W (K, D) and B (K,).
-    Deterministic: zero init, fixed iteration count, one shared step size.
-    Every fit sees the same ``X`` and step, so the K fits advance in
-    lockstep on row-contiguous buffers.  The matrix products run one
-    ``gemv`` per row, not one ``gemm``: BLAS may sum a ``gemm`` in a
-    different order, and the per-row form keeps row ``k`` bitwise equal to
-    a fit with ``alphas[k]`` alone.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    thr = (step * np.asarray(alphas, dtype=np.float64))[:, None]
-    N, D = X.shape
-    K = thr.shape[0]
-    Xt = X.T
-    # one row per alpha: D weights, then the bias
-    P = np.zeros((K, D + 1))
-    P_new = np.empty((K, D + 1))
-    PZ = np.zeros((K, D + 1))  # extrapolated point
-    G = np.empty((K, D + 1))
-    Z = np.empty((K, N))
-    A = np.empty((K, D))
-    t_acc = 1.0
-    for _ in range(int(n_iters)):
-        for k in range(K):
-            np.dot(X, PZ[k, :D], out=Z[k])
-        Z += PZ[:, D:]
-        # Z <- (sigmoid(Z) - y) / N: the mean loss derivative in each score
-        np.negative(Z, out=Z)
-        np.exp(Z, out=Z)
-        Z += 1.0
-        np.divide(1.0, Z, out=Z)
-        Z -= y
-        Z /= N
-        for k in range(K):
-            np.dot(Xt, Z[k], out=G[k, :D])
-        np.add.reduce(Z, axis=1, out=G[:, D])
-        # gradient step, then soft-threshold the weights
-        G *= step
-        np.subtract(PZ, G, out=P_new)
-        W_new = P_new[:, :D]
-        np.abs(W_new, out=A)
-        A -= thr
-        np.maximum(A, 0.0, out=A)
-        np.sign(W_new, out=W_new)
-        W_new *= A
-        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
-        beta = (t_acc - 1.0) / t_next
-        np.subtract(P_new, P, out=PZ)
-        PZ *= beta
-        PZ += P_new
-        P, P_new = P_new, P
-        t_acc = t_next
-    return P[:, :D].copy(), P[:, D].copy()

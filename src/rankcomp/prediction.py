@@ -556,13 +556,17 @@ def instances_from_csv(path) -> list[PredictionInstance]:
             if row[-1] not in ("0", "1"):
                 raise DomainError(f"{where}: label {row[-1]!r} is not 0 or 1")
             try:
+                features = tuple(float(v) for v in row[4 : 4 + FEATURE_DIM])
+                finite = np.isfinite(features)
+                if not finite.all():
+                    raise ValueError(f"feature {FEATURE_NAMES[finite.argmin()]} is not finite")
                 out.append(
                     PredictionInstance(
                         topic_id=row[0],
                         query_index=int(row[1]),
                         round_index=int(row[2]),
                         publisher=row[3],
-                        features=tuple(float(v) for v in row[4 : 4 + FEATURE_DIM]),
+                        features=features,
                         label=row[-1] == "1",
                     )
                 )

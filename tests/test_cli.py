@@ -314,6 +314,13 @@ class TestPipelineCommands:
         assert res.exit_code == 1
         assert "rounds" in res.output or "rounds" in (res.stderr or "")
 
+    def test_predict_cv_non_finite_param_is_a_one_line_error(self, runner, synth_log, tmp_path):
+        inst = tmp_path / "inst.csv"
+        invoke(runner, ["predict", "build", "--log", str(synth_log), "--out", str(inst)])
+        res = runner.invoke(main, ["predict", "cv", "--instances", str(inst),
+                                   "--params", "nan,10", "--seed", "1"])
+        assert json_error(res) == "regularization parameter must be positive and finite"
+
     def test_ablation_sections_flag(self, runner, synth_log, tmp_path):
         inst = tmp_path / "inst.csv"
         invoke(runner, ["predict", "build", "--log", str(synth_log), "--out", str(inst)])

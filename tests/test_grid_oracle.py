@@ -274,20 +274,6 @@ class TestKernelBackends:
         assert 0 < kept < total
         assert chunked_tables
 
-    def test_batched_logreg_fit_equals_single_fits(self):
-        # solving a grid of alphas together must not change a single bit
-        rng = np.random.default_rng(8)
-        for N, D in [(150, 12), (37, 27), (400, 3)]:
-            X = rng.random(size=(N, D))
-            y = (rng.random(N) < 0.4).astype(np.float64)
-            alphas = [1.0 / (c * N) for c in (1.0, 10.0, 50.0, 100.0)]
-            W, B = kernels.logreg_fit(X, y, alphas, 0.05, 300)
-            assert W.shape == (4, D) and B.shape == (4,)
-            for k, alpha in enumerate(alphas):
-                w, b = kernels.logreg_fit(X, y, [alpha], 0.05, 300)
-                assert np.array_equal(W[k], w[0])
-                assert np.array_equal(B[k], b[0])
-
     def test_screen_agrees_with_exact_verification(self):
         # float screen must keep every true equilibrium of small instances
         peak = F(1, 3)

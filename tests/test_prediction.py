@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rankcomp import kernels
+from rankcomp import logreg as logreg_module
 from rankcomp import prediction as prediction_module
 from rankcomp.competition_log import (
     CompetitionLog,
@@ -22,7 +22,7 @@ from rankcomp.logreg import (
     train_lreg,
     train_lreg_grid,
 )
-from rankcomp.numeric import DomainError
+from rankcomp.numeric import CapacityError, DomainError
 from rankcomp.prediction import (
     FEATURE_DIM,
     FEATURE_NAMES,
@@ -257,6 +257,8 @@ class TestCsvRoundTrip:
             (lambda row: row + ["0"], "line 3: 33 columns, expected 32"),
             (lambda row: row[:1] + ["q"] + row[2:], "line 3: invalid literal"),
             (lambda row: row[:-1] + ["yes"], "line 3: label 'yes' is not 0 or 1"),
+            (lambda row: row[:4] + ["nan"] + row[5:], "line 3: feature micro_query_add_w is not finite"),
+            (lambda row: row[:30] + ["-inf"] + row[31:], "line 3: feature len is not finite"),
         ],
     )
     def test_malformed_row_names_its_line(self, tmp_path, edit, message):
@@ -273,6 +275,45 @@ class TestCsvRoundTrip:
         path.write_text("", encoding="utf-8")
         with pytest.raises(DomainError, match="header"):
             instances_from_csv(path)
+
+
+def rank_deficient_set():
+    """Round 5 of a 5-topic log alone: 20 rows with constant columns, so
+    the 27 features and the bias span only 20 dimensions."""
+    log = synthesize(SynthesisConfig(topics=5, rounds=5), seed=8)
+    insts = normalize_per_query(build_instances(log))
+    return prediction_module._layout([i for i in insts if i.round_index == 5])[:2]
+
+
+def solver_set(name):
+    if name == "rank_deficient":
+        return rank_deficient_set()
+    if name == "separable":
+        return np.array([[0.0, 0.0], [0.1, 0.0], [1.0, 1.0], [0.9, 1.0]]), np.array([0.0, 0.0, 1.0, 1.0])
+    np_rng = np.random.default_rng(9)
+    return np_rng.random(size=(60, 7)), (np_rng.random(60) < 0.5).astype(float)
+
+
+def split_form_optimum(optimize, X, y, alpha):
+    """The minimum of mean logistic loss + alpha * ||w||_1 by L-BFGS-B on
+    w = u - v with u, v >= 0, a smooth bound-constrained form."""
+    D = X.shape[1]
+
+    def objective(x):
+        u, v, b = x[:D], x[D : 2 * D], x[2 * D]
+        gw, gb = mean_logloss_grad(X, y, u - v, b)
+        value = mean_logloss(X, y, u - v, b) + alpha * (u.sum() + v.sum())
+        return value, np.concatenate([gw + alpha, alpha - gw, [gb]])
+
+    res = optimize.minimize(
+        objective, np.zeros(2 * D + 1), jac=True, method="L-BFGS-B",
+        bounds=[(0.0, None)] * (2 * D) + [(None, None)],
+        options={"maxiter": 100000, "maxfun": 100000, "ftol": 0.0, "gtol": 1e-13, "maxcor": 30},
+    )
+    return res.fun
+
+
+GRID = (1.0, 10.0, 50.0, 100.0)
 
 
 class TestLogreg:
@@ -319,31 +360,56 @@ class TestLogreg:
         y = (np_rng.random(40) < 0.5).astype(float)
         assert train_lreg(X, y, 10.0) == train_lreg(X, y, 10.0)
 
-    def test_matches_plain_fista_loop(self):
-        # one FISTA fit written out step by step; train_lreg must agree bitwise
-        np_rng = np.random.default_rng(9)
-        X = np_rng.random(size=(60, 7))
-        y = (np_rng.random(60) < 0.5).astype(float)
-        n_iters = 200
-        model = train_lreg(X, y, 10.0, n_iters=n_iters)
-        N = X.shape[0]
-        alpha = 1.0 / (10.0 * N)
-        step = 1.0 / ((float(np.sum(X * X)) + N) / (4.0 * N))
-        w = wz = np.zeros(X.shape[1])
-        b = bz = 0.0
-        t_acc = 1.0
-        for _ in range(n_iters):
-            r = (1.0 / (1.0 + np.exp(-(X @ wz + bz))) - y) / N
-            w_new = wz - step * (X.T @ r)
-            w_new = np.sign(w_new) * np.maximum(np.abs(w_new) - step * alpha, 0.0)
-            b_new = bz - step * r.sum()
-            t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc)) / 2.0
-            beta = (t_acc - 1.0) / t_next
-            wz = w_new + beta * (w_new - w)
-            bz = b_new + beta * (b_new - b)
-            w, b, t_acc = w_new, b_new, t_next
-        assert model.weights == tuple(float(v) for v in w)
-        assert model.bias == float(b)
+    @pytest.mark.parametrize("name", ["random", "rank_deficient", "separable"])
+    def test_kkt_conditions_hold_at_every_returned_model(self, name):
+        X, y = solver_set(name)
+        # the solver's tolerance, plus rounding between two ways to sum a gradient
+        tol = 1e-9 + 1e-12
+        for model in train_lreg_grid(X, y, GRID):
+            alpha = 1.0 / (model.c_inverse_reg * len(X))
+            w = np.array(model.weights)
+            gw, gb = mean_logloss_grad(X, y, w, model.bias)
+            nonzero = w != 0
+            assert abs(gb) <= tol
+            assert np.all(np.abs(gw[nonzero] + alpha * np.sign(w[nonzero])) <= tol)
+            assert np.all(np.abs(gw[~nonzero]) <= alpha + tol)
+            assert isinstance(model.meta["iters"], int) and model.meta["iters"] >= 0
+            assert 0.0 <= model.meta["residual"] <= 1e-9
+
+    @pytest.mark.parametrize("name", ["random", "rank_deficient", "separable"])
+    def test_objective_matches_split_form_lbfgsb(self, name):
+        optimize = pytest.importorskip("scipy.optimize")
+        X, y = solver_set(name)
+        for model in train_lreg_grid(X, y, GRID):
+            alpha = 1.0 / (model.c_inverse_reg * len(X))
+            ours = mean_logloss(X, y, np.array(model.weights), model.bias, alpha)
+            assert abs(ours - split_form_optimum(optimize, X, y, alpha)) <= 1e-10
+
+    def test_rank_deficient_set_converges_and_repeats_bitwise(self):
+        X, y = rank_deficient_set()
+        assert X.shape == (20, 27)
+        assert np.linalg.matrix_rank(np.column_stack([X, np.ones(len(X))])) == 20
+        assert np.any(np.ptp(X, axis=0) == 0)
+        first, second = train_lreg_grid(X, y, GRID), train_lreg_grid(X, y, GRID)
+        for a, b in zip(first, second):
+            assert a.meta["residual"] <= 1e-9
+            assert np.array(a.weights).tobytes() == np.array(b.weights).tobytes()
+            assert np.float64(a.bias).tobytes() == np.float64(b.bias).tobytes()
+            assert a.meta == b.meta
+
+    def test_unreachable_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(logreg_module, "_MAX_STEPS", 3)
+        X, y = rank_deficient_set()
+        with pytest.raises(CapacityError, match="not converged after 3 steps"):
+            train_lreg(X, y, 100.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_are_refused(self, bad):
+        X, y = np.array([[0.0], [1.0]]), np.array([0.0, 1.0])
+        with pytest.raises(DomainError, match="regularization parameter must be positive and finite"):
+            train_lreg_grid(X, y, (10.0, bad))
+        with pytest.raises(DomainError, match="features must be finite"):
+            train_lreg(np.array([[0.0], [bad]]), y, 10.0)
 
     def test_grid_fit_equals_single_fits(self):
         np_rng = np.random.default_rng(10)
@@ -646,13 +712,13 @@ class TestCrossValidateEngine:
         insts = normalize_per_query(build_instances(log))
         assert len({i.round_index for i in insts}) == 8
         batch_sizes = []
-        fit = kernels.logreg_fit
+        fit = logreg_module._fit
 
-        def counting_fit(X, y, alphas, step, n_iters):
+        def counting_fit(X, y, alphas):
             batch_sizes.append(len(alphas))
-            return fit(X, y, alphas, step, n_iters)
+            return fit(X, y, alphas)
 
-        monkeypatch.setattr(kernels, "logreg_fit", counting_fit)
+        monkeypatch.setattr(logreg_module, "_fit", counting_fit)
         cross_validate(insts, (1.0, 10.0, 50.0, 100.0))
         # 8 * 7 / 2 inner training sets for all four C values, then 8 refits
         assert len(batch_sizes) == 28 + 8
