@@ -532,7 +532,10 @@ def predict_cv(ctx, instances_path, params, seed, sections):
     insts = instances_from_csv(instances_path)
     if sections:
         insts = mask_sections(insts, [s.strip() for s in sections.split(",") if s.strip()])
-    grid = tuple(float(v) for v in params.split(","))
+    try:
+        grid = tuple(float(v) for v in params.split(","))
+    except ValueError as exc:  # names the entry: could not convert string to float: 'abc'
+        raise DomainError(f"--params: {exc}") from None
     _emit(ctx, asdict(cross_validate(insts, grid, seed=seed)))
 
 

@@ -15,6 +15,7 @@ topic, built when a caller reaches the topic and dropped when it moves on.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional
@@ -25,7 +26,8 @@ from .text_features import (
     FEATURE_NAMES,
     FeatureVector,
     TopicCorpus,
-    compute_features,
+    match_features,
+    quality_features,
     rbo,
     tokenize,
 )
@@ -337,16 +339,19 @@ def document_features(
 
     Topics, rounds and queries come in log order and publishers sorted;
     each round-l document is featured against its topic's rounds 1..l.
+    Quality features are computed once per document.
     """
     for topic in log.topics:
         corpus = topic_corpus(topic)
         queries = [tokenize(text) for text in topic.queries]
         for rnd in topic.rounds:
             stats = corpus.stats(rnd.round_index)
+            docs = {pub: corpus.doc(rnd.round_index, pub) for pub in sorted(rnd.documents)}
+            quality = {pub: quality_features(doc, stopwords) for pub, doc in docs.items()}
             for q, query in enumerate(queries):
-                for pub in sorted(rnd.documents):
-                    doc = corpus.doc(rnd.round_index, pub)
-                    yield topic, rnd, q, pub, compute_features(doc, query, stats, stopwords)
+                for pub, doc in docs.items():
+                    feats = FeatureVector(*match_features(doc, query, stats), *quality[pub])
+                    yield topic, rnd, q, pub, feats
 
 
 def report_feature_trajectories(
@@ -417,6 +422,8 @@ class SynthesisConfig:
                 )
             if not isinstance(weight, (int, float)) or isinstance(weight, bool):
                 raise DomainError(f"scorer weight for {name!r} must be a number, got {weight!r}")
+            if not math.isfinite(weight):
+                raise DomainError(f"scorer weight for {name!r} must be finite, got {weight!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthesisConfig":
@@ -439,10 +446,8 @@ class SynthesisConfig:
         return cls(**kwargs)
 
 
-def _desk_score(doc, query, stats, stopwords, weights) -> float:
-    feats = compute_features(doc, query, stats, stopwords)
-    by_name = dict(zip(FEATURE_NAMES, feats.as_tuple()))
-    return sum(w * by_name[name] for name, w in weights)
+def _desk_score(feats: FeatureVector, weights) -> float:
+    return sum(w * getattr(feats, name) for name, w in weights)
 
 
 def synthesize(config: SynthesisConfig, seed: int) -> CompetitionLog:
@@ -518,16 +523,14 @@ def synthesize(config: SynthesisConfig, seed: int) -> CompetitionLog:
                 texts = new_texts
             docs = {pub: tokenize(texts[pub]) for pub in pubs}
             stats = corpus.add_round(docs)
+            quality = {pub: quality_features(doc, desk_stopwords) for pub, doc in docs.items()}
             rankings = []
             for query in query_docs:
-                scored = sorted(
-                    pubs,
-                    key=lambda pub: (
-                        -_desk_score(docs[pub], query, stats, desk_stopwords, config.scorer_weights),
-                        pub,
-                    ),
-                )
-                rankings.append(tuple(scored))
+                score = {}
+                for pub, doc in docs.items():
+                    feats = FeatureVector(*match_features(doc, query, stats), *quality[pub])
+                    score[pub] = _desk_score(feats, config.scorer_weights)
+                rankings.append(tuple(sorted(pubs, key=lambda pub: (-score[pub], pub))))
             rounds.append(
                 RoundRecord(
                     round_index=r,

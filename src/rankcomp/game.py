@@ -229,11 +229,7 @@ def score(game: RankingGame, strategy: EmphasisVector, query_index: int) -> Numb
 
 def query_scores(game: RankingGame, profile: StrategyProfile) -> tuple[tuple[Number, ...], ...]:
     """Every query's scores, indexed by player, in the profile's mode (see numeric)."""
-    f = game.f
-    columns = tuple(tuple(f(vec[j]) for vec in profile.strategies) for j in range(game.m))
-    if isinstance(unit(game, profile), float):
-        return tuple(tuple(map(float, column)) for column in columns)
-    return columns
+    return _scored(game, profile)[1]
 
 
 def induce_ranking(game: RankingGame, profile: StrategyProfile, query_index: int) -> InducedRanking:
@@ -267,7 +263,12 @@ def utilities(game: RankingGame, profile: StrategyProfile) -> tuple[Number, ...]
 
 def _scored(game: RankingGame, profile: StrategyProfile):
     """(unit, query scores): what the solver's private helpers read of a profile."""
-    return unit(game, profile), query_scores(game, profile)
+    one = unit(game, profile)
+    f = game.f
+    columns = tuple(tuple(f(vec[j]) for vec in profile.strategies) for j in range(game.m))
+    if isinstance(one, float):
+        columns = tuple(tuple(map(float, column)) for column in columns)
+    return one, columns
 
 
 def _utilities(game: RankingGame, columns, one: Number) -> tuple[Number, ...]:

@@ -29,6 +29,8 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass, replace
+from functools import cache
+from itertools import groupby
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -137,116 +139,102 @@ def build_instances(
     vectors cover all of the topic's documents up to and including round
     l, keeping the pipeline self-contained.
 
-    Instances come in triple order.  Documents and statistics come from
-    one ``topic_corpus`` per run of consecutive triples on the same
-    topic, so a topic's texts are tokenized once when its triples are
-    contiguous (as ``filter_for_prediction`` returns them).  Likewise the
-    tf.idf vectors and the winners' centroid are computed once per run of
-    triples on the same (topic, l).
+    Instances come in triple order.  Triples are walked in runs of
+    consecutive triples on the same (topic, l); each run reads its rounds,
+    statistics, tf.idf vectors and the winners' centroid once.  Documents
+    and statistics come from one ``topic_corpus``, rebuilt only when the
+    topic changes, so a topic's texts are tokenized once when its triples
+    are contiguous (as ``filter_for_prediction`` returns them).
     """
     if triples is None:
         triples = filter_for_prediction(log)
     out: list[PredictionInstance] = []
     corpus_topic: Optional[str] = None
-    round_key: Optional[tuple[str, int]] = None
-
-    def vector(r: int, pub: str) -> dict[str, float]:
-        # the round's tf.idf vectors, each computed once against stats(l)
-        if (r, pub) not in vectors:
-            vectors[r, pub] = tfidf_vector(corpus.doc(r, pub), stats)
-        return vectors[r, pub]
-
-    for triple in triples:
-        topic = log.topic(triple.topic_id)
-        l = triple.round_index
+    for (topic_id, l), run in groupby(triples, key=lambda t: (t.topic_id, t.round_index)):
+        topic = log.topic(topic_id)
         if l < 3 or l > len(topic.rounds):
             continue
-        now = topic.round(l)
-        prev = topic.round(l - 1)
-        prev2 = topic.round(l - 2)
-        q = triple.query_index
+        if corpus_topic != topic_id:
+            corpus, corpus_topic = topic_corpus(topic), topic_id
+        now, prev, prev2 = topic.round(l), topic.round(l - 1), topic.round(l - 2)
         m = len(topic.queries)
+        stats = corpus.stats(l)
+        # each vector computed once against stats(l); only this run calls it
+        vector = cache(lambda r, pub: tfidf_vector(corpus.doc(r, pub), stats))
+        # centroid of the previous round's distinct winning documents
+        distinct_winners = sorted({prev.winner(j) for j in range(m)})
+        centroid: dict[str, float] = {}
+        for pub in distinct_winners:
+            for t, v in vector(l - 1, pub).items():
+                centroid[t] = centroid.get(t, 0.0) + v
+        centroid = {t: v / len(distinct_winners) for t, v in centroid.items()}
 
-        if corpus_topic != topic.topic_id:
-            corpus = topic_corpus(topic)
-            corpus_topic = topic.topic_id
-        if round_key != (topic.topic_id, l):
-            # vectors and the centroid depend on (topic, l) only
-            round_key = (topic.topic_id, l)
-            stats = corpus.stats(l)
-            vectors: dict[tuple[int, str], dict[str, float]] = {}
-            # centroid of the previous round's distinct winning documents
-            distinct_winners = sorted({prev.winner(j) for j in range(m)})
-            centroid: dict[str, float] = {}
-            for pub in distinct_winners:
-                for t, v in vector(l - 1, pub).items():
-                    centroid[t] = centroid.get(t, 0.0) + v
-            centroid = {t: v / len(distinct_winners) for t, v in centroid.items()}
+        for triple in run:
+            q = triple.query_index
+            query_doc = tokenize(topic.queries[q])
+            query_terms = frozenset(query_doc.tokens)
+            stop_terms = frozenset(stopwords) - query_terms  # query terms take precedence
+            winner_prev = prev.winner(q)
+            winner_terms = frozenset(corpus.doc(l - 1, winner_prev).term_counts)
+            winner_vec = vector(l - 1, winner_prev)
 
-        query_doc = tokenize(topic.queries[q])
-        query_terms = frozenset(query_doc.tokens)
-        stop_terms = frozenset(stopwords) - query_terms  # query terms take precedence
-        winner_prev = prev.winner(q)
-        winner_terms = frozenset(corpus.doc(l - 1, winner_prev).term_counts)
-        winner_vec = vector(l - 1, winner_prev)
+            candidates = [pub for pub in prev.rankings[q] if pub != winner_prev]
+            for pub in candidates:
+                doc_now = corpus.doc(l, pub)
+                doc_prev = corpus.doc(l - 1, pub)
+                now_terms = frozenset(doc_now.term_counts)
+                prev_terms = frozenset(doc_prev.term_counts)
+                all_terms = now_terms | prev_terms | winner_terms
+                other_terms = all_terms - query_terms - stop_terms
 
-        candidates = [pub for pub in prev.rankings[q] if pub != winner_prev]
-        for pub in candidates:
-            doc_now = corpus.doc(l, pub)
-            doc_prev = corpus.doc(l - 1, pub)
-            now_terms = frozenset(doc_now.term_counts)
-            prev_terms = frozenset(doc_prev.term_counts)
-            all_terms = now_terms | prev_terms | winner_terms
-            other_terms = all_terms - query_terms - stop_terms
+                micro: list[float] = []
+                for group in (query_terms, stop_terms, other_terms):
+                    micro.extend(_micro_counts(now_terms, prev_terms, winner_terms, group))
 
-            micro: list[float] = []
-            for group in (query_terms, stop_terms, other_terms):
-                micro.extend(_micro_counts(now_terms, prev_terms, winner_terms, group))
+                now_vec = vector(l, pub)
+                prev_vec = vector(l - 1, pub)
+                macro = [
+                    cosine(now_vec, prev_vec),
+                    cosine(now_vec, winner_vec),
+                    cosine(prev_vec, winner_vec),
+                ]
+                topic_macro = [cosine(now_vec, centroid), cosine(prev_vec, centroid)]
 
-            now_vec = vector(l, pub)
-            prev_vec = vector(l - 1, pub)
-            macro = [
-                cosine(now_vec, prev_vec),
-                cosine(now_vec, winner_vec),
-                cosine(prev_vec, winner_vec),
-            ]
-            topic_macro = [cosine(now_vec, centroid), cosine(prev_vec, centroid)]
+                prev_ranks = [prev.rank_of(pub, j) for j in range(m)]
+                tr_min = float(min(prev_ranks))
+                tr_med = float(_lower_median(prev_ranks))
+                tr_max = float(max(prev_ranks))
+                own_rank = float(prev.rank_of(pub, q))
+                query_rank = [
+                    1.0 if tr_min == own_rank else 0.0,
+                    1.0 if tr_med == own_rank else 0.0,
+                    1.0 if tr_max == own_rank else 0.0,
+                ]
+                changes = [
+                    _scaled_rank_change(prev2.rank_of(pub, j), prev.rank_of(pub, j))
+                    for j in range(m)
+                ]
+                prev_change = [min(changes), _lower_median(changes), max(changes)]
 
-            prev_ranks = [prev.rank_of(pub, j) for j in range(m)]
-            tr_min = float(min(prev_ranks))
-            tr_med = float(_lower_median(prev_ranks))
-            tr_max = float(max(prev_ranks))
-            own_rank = float(prev.rank_of(pub, q))
-            query_rank = [
-                1.0 if tr_min == own_rank else 0.0,
-                1.0 if tr_med == own_rank else 0.0,
-                1.0 if tr_max == own_rank else 0.0,
-            ]
-            changes = [
-                _scaled_rank_change(prev2.rank_of(pub, j), prev.rank_of(pub, j))
-                for j in range(m)
-            ]
-            prev_change = [min(changes), _lower_median(changes), max(changes)]
-
-            features = tuple(
-                micro
-                + macro
-                + topic_macro
-                + [tr_min, tr_med, tr_max]
-                + query_rank
-                + prev_change
-                + [float(doc_now.length)]
-            )
-            out.append(
-                PredictionInstance(
-                    topic_id=topic.topic_id,
-                    query_index=q,
-                    round_index=l,
-                    publisher=pub,
-                    features=features,
-                    label=now.winner(q) == pub,
+                features = tuple(
+                    micro
+                    + macro
+                    + topic_macro
+                    + [tr_min, tr_med, tr_max]
+                    + query_rank
+                    + prev_change
+                    + [float(doc_now.length)]
                 )
-            )
+                out.append(
+                    PredictionInstance(
+                        topic_id=topic.topic_id,
+                        query_index=q,
+                        round_index=l,
+                        publisher=pub,
+                        features=features,
+                        label=now.winner(q) == pub,
+                    )
+                )
     return out
 
 

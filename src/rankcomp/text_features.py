@@ -1,17 +1,20 @@
 """Document features, ranking similarity, and query-diversity helpers.
 
 The document features are the classic non-neural retrieval estimates:
-query-term frequency and its length normalization, BM25, query likelihood
-with Dirichlet smoothing, plus query-independent quality signals (length,
-stopword fraction and coverage, term-distribution entropy).  Ranking
-similarity is extrapolated rank-biased overlap; the diversity helpers
-(Jaccard, reciprocal rank fusion, greedy min-similarity selection) support
-picking query variants that are distinct from each other.
+``match_features`` gives query-term frequency and its length
+normalization, BM25 and query likelihood with Dirichlet smoothing;
+``quality_features`` the query-independent signals (length, stopword
+fraction and coverage, term-distribution entropy), computed once per
+document.  ``compute_features`` composes the two.  Ranking similarity is
+extrapolated rank-biased overlap; the diversity helpers (Jaccard,
+reciprocal rank fusion, greedy min-similarity selection) support picking
+query variants that are distinct from each other.
 
 Every document of round l is featured against the background statistics
 of its topic's rounds 1..l.  ``TopicCorpus`` is the one path to them: it
 tokenizes each document of a topic once and extends running counts round
-by round, handing out the ``CorpusStats`` of every prefix.  Synthesis,
+by round, handing out the ``CorpusStats`` of every prefix
+(``CorpusStats.from_documents`` is the one-round case).  Synthesis,
 instance building and the feature reports each build one per topic and
 drop it before the next.
 """
@@ -22,7 +25,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .numeric import DomainError
 
@@ -68,37 +71,8 @@ class CorpusStats:
 
     @classmethod
     def from_documents(cls, docs: Iterable[TokenizedDocument]) -> "CorpusStats":
-        counts = _RunningCounts()
-        for doc in docs:
-            counts.add(doc)
-        return counts.snapshot()
-
-
-class _RunningCounts:
-    """df, collection counts and length total of the documents added so far."""
-
-    def __init__(self) -> None:
-        self.df: Counter = Counter()
-        self.coll: Counter = Counter()
-        self.n = 0
-        self.total_len = 0
-
-    def add(self, doc: TokenizedDocument) -> None:
-        self.n += 1
-        self.total_len += doc.length
-        self.coll.update(doc.term_counts)
-        self.df.update(doc.term_counts.keys())
-
-    def snapshot(self) -> CorpusStats:
-        """The statistics so far; copies the counters, so later adds leave it alone."""
-        n = self.n
-        return CorpusStats(
-            doc_count=n,
-            df=self.df.copy(),
-            avg_doc_len=self.total_len / n if n else 0.0,
-            collection_counts=self.coll.copy(),
-            collection_total=sum(self.coll.values()),
-        )
+        # one round keyed by position: the int keys sort back into input order
+        return TopicCorpus().add_round(dict(enumerate(docs)))
 
 
 class TopicCorpus:
@@ -113,7 +87,10 @@ class TopicCorpus:
     """
 
     def __init__(self) -> None:
-        self._counts = _RunningCounts()
+        self._df: Counter = Counter()
+        self._coll: Counter = Counter()
+        self._n = 0
+        self._total_len = 0
         self._docs: list[dict[str, TokenizedDocument]] = []
         self._stats: list[CorpusStats] = []
 
@@ -121,8 +98,17 @@ class TopicCorpus:
         """Append the next round's publisher -> document mapping; return its stats."""
         ordered = {pub: docs[pub] for pub in sorted(docs)}
         for doc in ordered.values():
-            self._counts.add(doc)
-        stats = self._counts.snapshot()
+            self._total_len += doc.length
+            self._coll.update(doc.term_counts)
+            self._df.update(doc.term_counts.keys())
+        self._n = n = self._n + len(ordered)
+        stats = CorpusStats(  # copies the counters, so later rounds leave it alone
+            doc_count=n,
+            df=self._df.copy(),
+            avg_doc_len=self._total_len / n if n else 0.0,
+            collection_counts=self._coll.copy(),
+            collection_total=sum(self._coll.values()),
+        )
         self._docs.append(ordered)
         self._stats.append(stats)
         return stats
@@ -137,9 +123,8 @@ class TopicCorpus:
         return self._stats[round_index - 1]
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """The eight non-neural per-(document, query) features."""
+class FeatureVector(NamedTuple):
+    """The eight non-neural per-(document, query) features: match, then quality."""
 
     tf: float
     normtf: float
@@ -151,19 +136,10 @@ class FeatureVector:
     ent: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.tf,
-            self.normtf,
-            self.bm25,
-            self.lmir,
-            self.len,
-            self.fracstop,
-            self.stopcover,
-            self.ent,
-        )
+        return tuple(self)
 
 
-FEATURE_NAMES = ("tf", "normtf", "bm25", "lmir", "len", "fracstop", "stopcover", "ent")
+FEATURE_NAMES: tuple[str, ...] = FeatureVector._fields
 
 
 def _bm25_idf(n_docs: int, df: int) -> float:
@@ -180,14 +156,10 @@ def _collection_prob(stats: CorpusStats, term: str) -> float:
     return cf / stats.collection_total
 
 
-def compute_features(
-    doc: TokenizedDocument,
-    query: TokenizedDocument,
-    stats: CorpusStats,
-    stopwords: frozenset[str],
-) -> FeatureVector:
-    if not stopwords:
-        raise DomainError("stopword list is empty; stopcover is undefined")
+def match_features(
+    doc: TokenizedDocument, query: TokenizedDocument, stats: CorpusStats
+) -> tuple[float, float, float, float]:
+    """(tf, normtf, bm25, lmir) of the document for the query."""
     length = doc.length
     q_terms = sorted(set(query.tokens))
 
@@ -207,7 +179,16 @@ def compute_features(
     for t in q_terms:
         f = doc.term_counts.get(t, 0)
         lmir += math.log((f + LMIR_MU * _collection_prob(stats, t)) / (length + LMIR_MU))
+    return tf, normtf, bm25, lmir
 
+
+def quality_features(
+    doc: TokenizedDocument, stopwords: frozenset[str]
+) -> tuple[float, float, float, float]:
+    """(len, fracstop, stopcover, ent): the query-independent features."""
+    if not stopwords:
+        raise DomainError("stopword list is empty; stopcover is undefined")
+    length = doc.length
     stop_tokens = sum(1 for tok in doc.tokens if tok in stopwords)
     fracstop = stop_tokens / length if length else 0.0
     stopcover = len(stopwords & set(doc.term_counts)) / len(stopwords)
@@ -217,17 +198,17 @@ def compute_features(
         for c in doc.term_counts.values():
             p = c / length
             ent -= p * math.log2(p)
+    return float(length), fracstop, stopcover, ent
 
-    return FeatureVector(
-        tf=tf,
-        normtf=normtf,
-        bm25=bm25,
-        lmir=lmir,
-        len=float(length),
-        fracstop=fracstop,
-        stopcover=stopcover,
-        ent=ent,
-    )
+
+def compute_features(
+    doc: TokenizedDocument,
+    query: TokenizedDocument,
+    stats: CorpusStats,
+    stopwords: frozenset[str],
+) -> FeatureVector:
+    quality = quality_features(doc, stopwords)  # first, so empty stopwords fail first
+    return FeatureVector(*match_features(doc, query, stats), *quality)
 
 
 # --- tf.idf vectors and cosine --------------------------------------------

@@ -262,6 +262,16 @@ class TestPipelineCommands:
                                             + [repr(v) for v in feats.as_tuple()])
         assert out.read_bytes() == ref.read_bytes()
 
+    def test_features_extract_digest_is_pinned(self, runner, tmp_path):
+        import hashlib
+
+        log, out = tmp_path / "log.jsonl", tmp_path / "feats.csv"
+        invoke(runner, ["simulate", "competition", "--seed", "77", "--out", str(log)])
+        invoke(runner, ["features", "extract", "--log", str(log), "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ec5583f3c013ee61ab878afcad9fea3fce330eb33eec0982c9ae416e867ff69c"
+        )
+
     def test_features_rbo(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         a.write_text("[1, 2]", encoding="utf-8")
@@ -320,6 +330,16 @@ class TestPipelineCommands:
         res = runner.invoke(main, ["predict", "cv", "--instances", str(inst),
                                    "--params", "nan,10", "--seed", "1"])
         assert json_error(res) == "regularization parameter must be positive and finite"
+
+    @pytest.mark.parametrize("params, entry", [("abc", "'abc'"), ("1,,10", "''")])
+    def test_predict_cv_unparsable_param_is_a_one_line_error(
+        self, runner, synth_log, tmp_path, params, entry
+    ):
+        inst = tmp_path / "inst.csv"
+        invoke(runner, ["predict", "build", "--log", str(synth_log), "--out", str(inst)])
+        res = runner.invoke(main, ["predict", "cv", "--instances", str(inst),
+                                   "--params", params, "--seed", "1"])
+        assert json_error(res) == f"--params: could not convert string to float: {entry}"
 
     def test_ablation_sections_flag(self, runner, synth_log, tmp_path):
         inst = tmp_path / "inst.csv"
@@ -465,6 +485,8 @@ class TestMalformedInputs:
             ({"topics": "x"}, "topics must be an integer >= 1, got 'x'"),
             ({"vocabulary_size": 10}, "vocabulary_size must be an integer >= 24, got 10"),
             ({"queries_per_topic": 0}, "queries_per_topic must be an integer >= 1, got 0"),
+            ({"scorer_weights": {"bm25": float("nan")}}, "weight for 'bm25' must be finite"),
+            ({"scorer_weights": {"ent": float("-inf")}}, "weight for 'ent' must be finite"),
         ],
     )
     def test_invalid_synthesis_config(self, runner, tmp_path, config, message):

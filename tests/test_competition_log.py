@@ -360,6 +360,8 @@ class TestSynthesize:
             ({"strategy_mix": (("static", -1),)}, "'static' count must be an integer >= 0"),
             ({"scorer_weights": (("bm26", 1.0),)}, "unknown scorer feature 'bm26'"),
             ({"scorer_weights": (("bm25", "1"),)}, "weight for 'bm25' must be a number"),
+            ({"scorer_weights": (("bm25", float("nan")),)}, "weight for 'bm25' must be finite"),
+            ({"scorer_weights": (("len", float("inf")),)}, "weight for 'len' must be finite"),
         ],
     )
     def test_invalid_config_is_a_domain_error(self, kwargs, message):
@@ -397,6 +399,25 @@ class TestSynthesize:
         )
         assert isinstance(config.scorer_weights[0][1], float)
         assert SynthesisConfig.from_dict({}) == SynthesisConfig()
+
+    def test_desk_ranks_by_weighted_compute_features(self):
+        # document-only features exercise the quality half of the desk scorer
+        weights = (("bm25", 1.0), ("ent", 0.5), ("fracstop", -2.0), ("len", 0.01))
+        log = synthesize(SynthesisConfig(topics=3, rounds=4, scorer_weights=weights), seed=5)
+        desk_stopwords = frozenset(sorted(DEFAULT_STOPWORDS)[:20])
+        for topic in log.topics:
+            for rnd in topic.rounds:
+                stats = prefix_stats_reference(topic, rnd.round_index)
+                for q, query_text in enumerate(topic.queries):
+                    query = tokenize(query_text)
+
+                    def key(pub):
+                        feats = compute_features(
+                            tokenize(rnd.text_of(pub)), query, stats, desk_stopwords
+                        )
+                        return -sum(w * getattr(feats, name) for name, w in weights), pub
+
+                    assert rnd.rankings[q] == tuple(sorted(rnd.documents, key=key))
 
     def test_generated_logs_satisfy_schema(self):
         log = synthesize(SynthesisConfig(topics=3, rounds=4), seed=17)
