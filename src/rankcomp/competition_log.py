@@ -15,9 +15,9 @@ topic, built when a caller reaches the topic and dropped when it moves on.
 from __future__ import annotations
 
 import json
-import math
 import random
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Optional
 
 from .numeric import DomainError
@@ -422,8 +422,9 @@ class SynthesisConfig:
                 )
             if not isinstance(weight, (int, float)) or isinstance(weight, bool):
                 raise DomainError(f"scorer weight for {name!r} must be a number, got {weight!r}")
-            if not math.isfinite(weight):
-                raise DomainError(f"scorer weight for {name!r} must be finite, got {weight!r}")
+            if not abs(weight) <= sys.float_info.max:  # NaN, ±inf, or too large an int
+                got = "an integer beyond float range" if _is_int(weight) else repr(weight)
+                raise DomainError(f"scorer weight for {name!r} must be finite, got {got}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "SynthesisConfig":
@@ -439,11 +440,9 @@ class SynthesisConfig:
                 if not isinstance(kwargs[key], dict):
                     raise DomainError(f"{key} must be a JSON object")
                 kwargs[key] = tuple(kwargs[key].items())
-        if "scorer_weights" in kwargs:
-            kwargs["scorer_weights"] = tuple(
-                (k, float(v) if _is_int(v) else v) for k, v in kwargs["scorer_weights"]
-            )
-        return cls(**kwargs)
+        config = cls(**kwargs)  # validated before JSON integer weights become floats
+        weights = tuple((k, float(v)) for k, v in config.scorer_weights)
+        return replace(config, scorer_weights=weights)
 
 
 def _desk_score(feats: FeatureVector, weights) -> float:

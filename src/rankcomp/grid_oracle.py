@@ -21,6 +21,8 @@ confirms every player against every grid deviation; it is diagnostic
 only and can accept spurious profiles.  Both tables score through f's
 knots, so both modes take any single-peaked f.  The budget counts
 profiles; exact strategies are built only for the profiles confirmed.
+Since the budget does not see the 2^m invest sets, ``exact`` mode with
+n >= 2 refuses m > ``EXACT_MAX_M`` with a ``CapacityError``.
 
 The enumeration is numpy throughout: a chunk is a range of row numbers,
 unranked to index tuples (:func:`rankcomp.kernels.multiset_unrank` for
@@ -45,6 +47,7 @@ from .game import EmphasisVector, RankingGame, SinglePeakFunction, StrategyProfi
 from .numeric import CapacityError, DomainError, Number, improves, parse_number
 
 DEFAULT_BUDGET = 100_000_000
+EXACT_MAX_M = 16  # exact tables walk 2^m invest sets per opponent multiset
 _CHUNK_ROWS = 65536  # profiles per float-screen chunk
 
 
@@ -249,6 +252,11 @@ def grid_nash_search(
         raise DomainError("game and grid spec disagree on the peak")
     if deviation_mode not in _MODES:
         raise DomainError(f"unknown deviation mode {deviation_mode!r}")
+    if deviation_mode == "exact" and spec.n >= 2 and spec.m > EXACT_MAX_M:
+        raise CapacityError(
+            "exact mode walks 2^m invest sets per opponent multiset; "
+            f"m = {spec.m} exceeds {EXACT_MAX_M}, use --mode grid"
+        )
     mode = _MODES[deviation_mode]
     nums = _strategies(spec)
     vector = _exact_strategies(spec, nums)

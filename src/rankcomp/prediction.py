@@ -18,6 +18,10 @@ the previous round) becomes a 27-dimensional instance:
   between the two previous rounds
 * Len (1): current document's token count
 
+``SECTIONS`` declares this layout once: the feature names, the CSV
+header, ``section_slices`` and the order in which ``build_instances``
+concatenates the sections all come from it.
+
 Labels mark the document that actually won the query.  The evaluation
 protocol is leave-one-round-out cross-validation with an inner
 leave-one-round-out pass for picking the regularization parameter by
@@ -30,7 +34,7 @@ import csv
 import random
 from dataclasses import dataclass, replace
 from functools import cache
-from itertools import groupby
+from itertools import accumulate, chain, groupby
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -46,42 +50,31 @@ from .numeric import DomainError
 from .stopwords import DEFAULT_STOPWORDS
 from .text_features import cosine, tfidf_vector, tokenize
 
-SECTION_LAYOUT = (
-    ("micro", 12),
-    ("macro", 3),
-    ("topic_macro", 2),
-    ("topic_rank", 3),
-    ("query_rank", 3),
-    ("prev_change", 3),
-    ("len", 1),
-)
+#: the instance layout: each section's feature names, sections in instance order
+SECTIONS: dict[str, tuple[str, ...]] = {
+    "micro": tuple(
+        f"micro_{group}_{kind}"
+        for group in ("query", "stop", "other")
+        for kind in ("add_w", "rmv_w", "add_nw", "rmv_nw")
+    ),
+    "macro": ("macro_sim_now_prev", "macro_sim_now_winner", "macro_sim_prev_winner"),
+    "topic_macro": ("topicmacro_sim_now_centroid", "topicmacro_sim_prev_centroid"),
+    "topic_rank": ("topicrank_min", "topicrank_median", "topicrank_max"),
+    "query_rank": ("queryrank_is_min", "queryrank_is_median", "queryrank_is_max"),
+    "prev_change": ("prevchange_min", "prevchange_median", "prevchange_max"),
+    "len": ("len",),
+}
 
-FEATURE_DIM = sum(width for _, width in SECTION_LAYOUT)  # 27
+FEATURE_NAMES: tuple[str, ...] = tuple(chain.from_iterable(SECTIONS.values()))
+FEATURE_DIM = len(FEATURE_NAMES)  # 27
 
 
 def section_slices() -> dict[str, slice]:
-    out = {}
-    offset = 0
-    for name, width in SECTION_LAYOUT:
-        out[name] = slice(offset, offset + width)
-        offset += width
-    return out
-
-
-_MICRO_GROUPS = ("query", "stop", "other")
-_MICRO_KINDS = ("add_w", "rmv_w", "add_nw", "rmv_nw")
-
-FEATURE_NAMES: tuple[str, ...] = tuple(
-    [f"micro_{g}_{k}" for g in _MICRO_GROUPS for k in _MICRO_KINDS]
-    + ["macro_sim_now_prev", "macro_sim_now_winner", "macro_sim_prev_winner"]
-    + ["topicmacro_sim_now_centroid", "topicmacro_sim_prev_centroid"]
-    + ["topicrank_min", "topicrank_median", "topicrank_max"]
-    + ["queryrank_is_min", "queryrank_is_median", "queryrank_is_max"]
-    + ["prevchange_min", "prevchange_median", "prevchange_max"]
-    + ["len"]
-)
-
-assert len(FEATURE_NAMES) == FEATURE_DIM
+    starts = accumulate((len(names) for names in SECTIONS.values()), initial=0)
+    return {
+        name: slice(start, start + len(names))
+        for (name, names), start in zip(SECTIONS.items(), starts)
+    }
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,10 @@ def build_instances(
     statistics, tf.idf vectors and the winners' centroid once.  Documents
     and statistics come from one ``topic_corpus``, rebuilt only when the
     topic changes, so a topic's texts are tokenized once when its triples
-    are contiguous (as ``filter_for_prediction`` returns them).
+    are contiguous (as ``filter_for_prediction`` returns them).  A
+    candidate's document side (term sets, the now-prev and centroid
+    cosines, TopicRank, PrevChange and Len) is computed once per run; each
+    triple adds only Micro, the winner cosines and QueryRank.
     """
     if triples is None:
         triples = filter_for_prediction(log)
@@ -169,10 +165,26 @@ def build_instances(
                 centroid[t] = centroid.get(t, 0.0) + v
         centroid = {t: v / len(distinct_winners) for t, v in centroid.items()}
 
+        # what no query changes: a candidate's term sets, vectors, now-prev
+        # cosine and four sections; like `vector`, only this run calls it
+        @cache
+        def doc_side(pub: str) -> tuple:
+            doc_now, doc_prev = corpus.doc(l, pub), corpus.doc(l - 1, pub)
+            now_vec, prev_vec = vector(l, pub), vector(l - 1, pub)
+            ranks = [prev.rank_of(pub, j) for j in range(m)]
+            changes = [_scaled_rank_change(prev2.rank_of(pub, j), ranks[j]) for j in range(m)]
+            sections = {
+                "topic_macro": (cosine(now_vec, centroid), cosine(prev_vec, centroid)),
+                "topic_rank": (float(min(ranks)), float(_lower_median(ranks)), float(max(ranks))),
+                "prev_change": (min(changes), _lower_median(changes), max(changes)),
+                "len": (float(doc_now.length),),
+            }
+            terms = frozenset(doc_now.term_counts), frozenset(doc_prev.term_counts)
+            return terms, (now_vec, prev_vec), cosine(now_vec, prev_vec), sections
+
         for triple in run:
             q = triple.query_index
-            query_doc = tokenize(topic.queries[q])
-            query_terms = frozenset(query_doc.tokens)
+            query_terms = frozenset(tokenize(topic.queries[q]).tokens)
             stop_terms = frozenset(stopwords) - query_terms  # query terms take precedence
             winner_prev = prev.winner(q)
             winner_terms = frozenset(corpus.doc(l - 1, winner_prev).term_counts)
@@ -180,58 +192,25 @@ def build_instances(
 
             candidates = [pub for pub in prev.rankings[q] if pub != winner_prev]
             for pub in candidates:
-                doc_now = corpus.doc(l, pub)
-                doc_prev = corpus.doc(l - 1, pub)
-                now_terms = frozenset(doc_now.term_counts)
-                prev_terms = frozenset(doc_prev.term_counts)
-                all_terms = now_terms | prev_terms | winner_terms
-                other_terms = all_terms - query_terms - stop_terms
-
+                (now_terms, prev_terms), (now_vec, prev_vec), now_prev, sections = doc_side(pub)
+                other_terms = (now_terms | prev_terms | winner_terms) - query_terms - stop_terms
                 micro: list[float] = []
                 for group in (query_terms, stop_terms, other_terms):
                     micro.extend(_micro_counts(now_terms, prev_terms, winner_terms, group))
-
-                now_vec = vector(l, pub)
-                prev_vec = vector(l - 1, pub)
-                macro = [
-                    cosine(now_vec, prev_vec),
-                    cosine(now_vec, winner_vec),
-                    cosine(prev_vec, winner_vec),
-                ]
-                topic_macro = [cosine(now_vec, centroid), cosine(prev_vec, centroid)]
-
-                prev_ranks = [prev.rank_of(pub, j) for j in range(m)]
-                tr_min = float(min(prev_ranks))
-                tr_med = float(_lower_median(prev_ranks))
-                tr_max = float(max(prev_ranks))
                 own_rank = float(prev.rank_of(pub, q))
-                query_rank = [
-                    1.0 if tr_min == own_rank else 0.0,
-                    1.0 if tr_med == own_rank else 0.0,
-                    1.0 if tr_max == own_rank else 0.0,
-                ]
-                changes = [
-                    _scaled_rank_change(prev2.rank_of(pub, j), prev.rank_of(pub, j))
-                    for j in range(m)
-                ]
-                prev_change = [min(changes), _lower_median(changes), max(changes)]
-
-                features = tuple(
-                    micro
-                    + macro
-                    + topic_macro
-                    + [tr_min, tr_med, tr_max]
-                    + query_rank
-                    + prev_change
-                    + [float(doc_now.length)]
-                )
+                row = {
+                    **sections,
+                    "micro": micro,
+                    "macro": (now_prev, cosine(now_vec, winner_vec), cosine(prev_vec, winner_vec)),
+                    "query_rank": tuple(float(rank == own_rank) for rank in sections["topic_rank"]),
+                }
                 out.append(
                     PredictionInstance(
                         topic_id=topic.topic_id,
                         query_index=q,
                         round_index=l,
                         publisher=pub,
-                        features=features,
+                        features=tuple(chain.from_iterable(row[name] for name in SECTIONS)),
                         label=now.winner(q) == pub,
                     )
                 )
@@ -266,9 +245,7 @@ def mask_sections(
     unknown = set(keep) - set(slices)
     if unknown:
         raise DomainError(f"unknown feature sections: {sorted(unknown)}")
-    keep_idx = set()
-    for name in keep:
-        keep_idx.update(range(slices[name].start, slices[name].stop))
+    keep_idx = {i for name in keep for i in range(slices[name].start, slices[name].stop)}
     out = []
     for inst in instances:
         feats = tuple(v if i in keep_idx else 0.0 for i, v in enumerate(inst.features))
@@ -515,12 +492,13 @@ def cross_validate(
 # --- CSV I/O ------------------------------------------------------------------
 
 CSV_ID_COLUMNS = ("topic_id", "query_index", "round_index", "publisher")
+_CSV_HEADER = [*CSV_ID_COLUMNS, *FEATURE_NAMES, "label"]
 
 
 def instances_to_csv(path, instances: Sequence[PredictionInstance]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(CSV_ID_COLUMNS) + list(FEATURE_NAMES) + ["label"])
+        writer.writerow(_CSV_HEADER)
         for inst in instances:
             writer.writerow(
                 [inst.topic_id, inst.query_index, inst.round_index, inst.publisher]
@@ -532,15 +510,14 @@ def instances_to_csv(path, instances: Sequence[PredictionInstance]) -> None:
 def instances_from_csv(path) -> list[PredictionInstance]:
     """Read an instance CSV; a malformed row is a DomainError naming its line."""
     out = []
-    expected = list(CSV_ID_COLUMNS) + list(FEATURE_NAMES) + ["label"]
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != expected:
+        if next(reader, None) != _CSV_HEADER:
             raise DomainError("instance CSV header does not match the 27-feature layout")
         for row in reader:
             where = f"{path}: line {reader.line_num}"
-            if len(row) != len(expected):
-                raise DomainError(f"{where}: {len(row)} columns, expected {len(expected)}")
+            if len(row) != len(_CSV_HEADER):
+                raise DomainError(f"{where}: {len(row)} columns, expected {len(_CSV_HEADER)}")
             if row[-1] not in ("0", "1"):
                 raise DomainError(f"{where}: label {row[-1]!r} is not 0 or 1")
             try:

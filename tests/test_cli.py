@@ -200,6 +200,14 @@ class TestGameCommands:
                                    "--peak", "0.5", "--grid", "12", "--budget", "1000"])
         assert res.exit_code == 1
 
+    def test_oracle_exact_mode_refuses_a_large_m(self, runner):
+        res = runner.invoke(main, ["game", "oracle", "--n", "2", "--m", "30",
+                                   "--peak", "1/2", "--grid", "1"])
+        assert json_error(res) == (
+            "exact mode walks 2^m invest sets per opponent multiset; "
+            "m = 30 exceeds 16, use --mode grid"
+        )
+
 
 class TestPipelineCommands:
     @pytest.fixture
@@ -271,6 +279,19 @@ class TestPipelineCommands:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "ec5583f3c013ee61ab878afcad9fea3fce330eb33eec0982c9ae416e867ff69c"
         )
+
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "b6eed7b2dde387ab543aa02ce458081784e7fa2e0c760ded1c0e99f74f79db58"),
+        (["--no-normalize"], "95c9c72fc98a962e0db60ff5c38015b867eabd5f1f6e766c41bbe9548f722c52"),
+    ], ids=["normalized", "raw"])
+    def test_predict_build_digest_is_pinned(self, runner, tmp_path, flags, digest):
+        import hashlib
+
+        log, out = tmp_path / "log.jsonl", tmp_path / "inst.csv"
+        invoke(runner, ["simulate", "competition", "--seed", "77", "--out", str(log)])
+        res = invoke(runner, ["predict", "build", "--log", str(log), "--out", str(out)] + flags)
+        assert json.loads(res.output)["instances"] == 220
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_features_rbo(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -487,6 +508,8 @@ class TestMalformedInputs:
             ({"queries_per_topic": 0}, "queries_per_topic must be an integer >= 1, got 0"),
             ({"scorer_weights": {"bm25": float("nan")}}, "weight for 'bm25' must be finite"),
             ({"scorer_weights": {"ent": float("-inf")}}, "weight for 'ent' must be finite"),
+            ({"scorer_weights": {"bm25": 10**400}},
+             "weight for 'bm25' must be finite, got an integer beyond float range"),
         ],
     )
     def test_invalid_synthesis_config(self, runner, tmp_path, config, message):

@@ -362,6 +362,7 @@ class TestSynthesize:
             ({"scorer_weights": (("bm25", "1"),)}, "weight for 'bm25' must be a number"),
             ({"scorer_weights": (("bm25", float("nan")),)}, "weight for 'bm25' must be finite"),
             ({"scorer_weights": (("len", float("inf")),)}, "weight for 'len' must be finite"),
+            ({"scorer_weights": (("bm25", 10**400),)}, "weight for 'bm25' must be finite, got an"),
         ],
     )
     def test_invalid_config_is_a_domain_error(self, kwargs, message):

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -847,3 +848,13 @@ class TestTopicOrder:
         assert got == want
         assert [inst.group_key for inst in got] == [inst.group_key for inst in want]
         assert got[0].topic_id == got[-1].topic_id == a[0].topic_id
+
+    def test_runs_match_single_triple_builds(self):
+        # most (topic, round) runs of this log hold several queries, so a
+        # per-run memo that carried one query's values to the next shows here
+        log = synthesize(SynthesisConfig(), seed=77)
+        triples = filter_for_prediction(log)
+        runs = Counter((t.topic_id, t.round_index) for t in triples)
+        assert sum(count >= 2 for count in runs.values()) >= len(runs) // 2
+        want = [inst for t in triples for inst in build_instances(log, [t])]
+        assert build_instances(log) == want
