@@ -15,8 +15,9 @@ over least cost per exact gain (Kellerer, Pferschy & Pisinger, *Knapsack
 Problems*, 2004, ch. 2); the tests check it against 2^m enumeration.
 
 The public functions validate and score the profile once; the private
-helpers take those scores, so a caller scores a profile once for all its
-players, and a witness reuses the thresholds and plan of its value.
+helpers take those scores (:func:`~rankcomp.game.query_scores`, whose
+values carry the arithmetic mode), so a caller scores a profile once for
+all its players, and a witness reuses the thresholds and plan of its value.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .game import EmphasisVector, RankingGame, StrategyProfile, _scored, require_valid, utilities
+from .game import EmphasisVector, RankingGame, StrategyProfile, query_scores, require_valid
+from .game import unit, utilities
 from .numeric import DomainError, Number, number_less, numbers_equal, one_like
 
 DEFAULT_EPSILON = Fraction(1, 1000)
@@ -82,15 +84,15 @@ def thresholds(game: RankingGame, profile: StrategyProfile, player: int) -> tupl
     tie_count 0, meaning the sole player wins everything for free.
     """
     require_valid(game, profile)
-    one, columns = _scored(game, profile)
-    return _thresholds(game, columns, player, one)
+    return _thresholds(game, query_scores(game, profile), player)
 
 
-def _thresholds(game: RankingGame, columns, player: int, one: Number) -> tuple[QueryThreshold, ...]:
-    """Thresholds from a validated profile's query scores, in the mode of `one`."""
+def _thresholds(game: RankingGame, columns, player: int) -> tuple[QueryThreshold, ...]:
+    """Thresholds from a validated profile's query scores, in the scores' mode."""
     if not 0 <= player < game.n:
         raise DomainError(f"player {player} outside [0, {game.n})")
     f = game.f
+    one = one_like(columns[0][0])
     zero = 0 * one
     out = []
     for j, column in enumerate(columns):
@@ -133,18 +135,17 @@ def best_response_value(game: RankingGame, profile: StrategyProfile, player: int
     margin, and so may be approached but not reached.
     """
     require_valid(game, profile)
-    one, columns = _scored(game, profile)
-    return _respond(game, columns, player, one)[1]
+    return _respond(game, query_scores(game, profile), player)[1]
 
 
-def _respond(game: RankingGame, columns, player: int, one: Number):
+def _respond(game: RankingGame, columns, player: int):
     """(thresholds, best response) of `player` against scored opponents."""
-    ths = _thresholds(game, columns, player, one)
+    ths = _thresholds(game, columns, player)
     if game.n == 1:
-        m_val = game.m * one
-        plan = DeviationPlan(frozenset(range(game.m)), frozenset(), m_val, 0 * one)
+        m_val = sum(th.zero_value for th in ths)
+        plan = DeviationPlan(frozenset(range(game.m)), frozenset(), m_val, 0 * m_val)
         return ths, BestResponse(sup_value=m_val, attained_value=m_val, plan=plan)
-    return ths, _optimize(ths, one)
+    return ths, _optimize(ths)
 
 
 def _gains(th: QueryThreshold) -> tuple[Fraction, bool, Fraction]:
@@ -160,7 +161,7 @@ def _gains(th: QueryThreshold) -> tuple[Fraction, bool, Fraction]:
     return open_role - base, _solo_available(th) and not th.beats_at_cost, closed_role - base
 
 
-def _optimize(ths, one: Number) -> BestResponse:
+def _optimize(ths) -> BestResponse:
     """Exact 0/1 knapsack over invest-subsets by a gain-indexed DP.
 
     An open plan gives every invested query its best role; if one of
@@ -170,8 +171,10 @@ def _optimize(ths, one: Number) -> BestResponse:
     queries a table keeps the least cost per (gain, needs margin); gains
     have small denominators, so the tables stay small at any m.  The plan
     is the lowest invest mask (as an integer over query bits) attaining
-    the optimum, in its open roles when it affords them.
+    the optimum, in its open roles when it affords them.  Every threshold
+    value is in the scores' mode, so the budget's 1 comes from them.
     """
+    one = one_like(ths[0].zero_value)
     zero = 0 * one
     zero_total = sum((t.zero_value for t in ths), zero)
     costs = [t.cost for t in ths]
@@ -241,15 +244,15 @@ def best_response_witness(
     recomputed through :func:`utilities` and asserted to match.
     """
     require_valid(game, profile)
-    base, columns = _scored(game, profile)
-    return _witness(game, profile, player, *_respond(game, columns, player, base), base, epsilon)
+    ths, br = _respond(game, query_scores(game, profile), player)
+    return _witness(game, profile, player, ths, br, epsilon)
 
 
-def _witness(game, profile, player, ths, br: BestResponse, base: Number, epsilon) -> WitnessResult:
-    """Witness for the plan that `br` solved from `ths` in mode `base`."""
+def _witness(game, profile, player, ths, br: BestResponse, epsilon) -> WitnessResult:
+    """Witness for the plan that `br` solved from `ths` against `profile`."""
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
-    one = one_like(base, epsilon)
+    one = one_like(unit(game, profile), epsilon)
     zero = 0 * one
     plan = br.plan
     open_solos = [j for j in plan.solo_set if not ths[j].beats_at_cost]

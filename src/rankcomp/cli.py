@@ -41,10 +41,10 @@ from .competition_log import (
 )
 from .game import (
     RankingGame,
-    _scored,
     load_profile,
     load_sequence,
     profile_to_dict,
+    query_scores,
     read_json,
     require_valid,
     save_profile,
@@ -69,8 +69,9 @@ def dump_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _emit(ctx, data) -> None:
-    fmt = ctx.obj.get("format", "json") if ctx.obj else "json"
+def _emit(data) -> None:
+    obj = click.get_current_context().obj
+    fmt = obj.get("format", "json") if obj else "json"
     if fmt == "table":
         click.echo(_render_table(data))
     else:
@@ -182,14 +183,10 @@ def game():
 @click.option("--peak", required=True)
 @_schema_option({"exists": "bool", "threshold": "float", "threshold_exact": "str|int",
                  "regime": "str"})
-@click.pass_context
-def game_exists(ctx, n, m, peak):
+def game_exists(n, m, peak):
     verdict = eq_mod.exists_equilibrium(n, m, parse_number(peak))
-    _emit(
-        ctx,
-        {"exists": verdict.exists, "regime": verdict.regime,
-         **dual_view("threshold", verdict.threshold)},
-    )
+    _emit({"exists": verdict.exists, "regime": verdict.regime,
+           **dual_view("threshold", verdict.threshold)})
 
 
 @game.command("construct")
@@ -201,8 +198,7 @@ def game_exists(ctx, n, m, peak):
 @_schema_option({"n": "int", "m": "int", "peak": "float", "peak_exact": "str|int",
                  "strategies": "[[float]]", "strategies_exact": "[[str|int]]",
                  "verified": "bool?"})
-@click.pass_context
-def game_construct(ctx, n, m, peak, check, out):
+def game_construct(n, m, peak, check, out):
     g = RankingGame.tent(n, m, parse_number(peak))
     profile = eq_mod.construct_equilibrium(g)
     data = profile_to_dict(g, profile)
@@ -210,7 +206,7 @@ def game_construct(ctx, n, m, peak, check, out):
         data["verified"] = eq_mod.verify_nash(g, profile).is_nash
     if out:
         save_profile(out, g, profile)
-    _emit(ctx, data)
+    _emit(data)
 
 
 def _nash_report_dict(report):
@@ -237,10 +233,9 @@ def _nash_report_dict(report):
 @_schema_option({"is_nash": "bool", "per_player": [{"player": "int", "current": "float",
                  "current_exact": "str|int", "attained": "float", "attained_exact": "str|int",
                  "improving_witness": "[float]|null"}]})
-@click.pass_context
-def game_verify(ctx, profile_path):
+def game_verify(profile_path):
     g, profile = load_profile(profile_path)
-    _emit(ctx, _nash_report_dict(eq_mod.verify_nash(g, profile)))
+    _emit(_nash_report_dict(eq_mod.verify_nash(g, profile)))
 
 
 @game.command("best-response")
@@ -251,28 +246,20 @@ def game_verify(ctx, profile_path):
                  "attained_value": "float", "attained_value_exact": "str|int",
                  "plan": {"solo": "[int]", "tie": "[int]"}, "witness": "[float]",
                  "witness_exact": "[str|int]", "witness_utility": "float", "epsilon_used": "float"})
-@click.pass_context
-def game_best_response(ctx, profile_path, player, epsilon):
+def game_best_response(profile_path, player, epsilon):
     g, profile = load_profile(profile_path)
     require_valid(g, profile)
-    one, columns = _scored(g, profile)
-    ths, res = br_mod._respond(g, columns, player, one)
-    wit = br_mod._witness(g, profile, player, ths, res, one, parse_number(epsilon))
-    _emit(
-        ctx,
-        {
-            "player": player,
-            **dual_view("sup_value", res.sup_value),
-            **dual_view("attained_value", res.attained_value),
-            "plan": {
-                "solo": sorted(wit.plan.solo_set),
-                "tie": sorted(wit.plan.tie_set),
-            },
-            **dual_view("witness", wit.strategy.emphases),
-            "witness_utility": float(wit.value),
-            "epsilon_used": float(wit.epsilon_used),
-        },
-    )
+    ths, res = br_mod._respond(g, query_scores(g, profile), player)
+    wit = br_mod._witness(g, profile, player, ths, res, parse_number(epsilon))
+    _emit({
+        "player": player,
+        **dual_view("sup_value", res.sup_value),
+        **dual_view("attained_value", res.attained_value),
+        "plan": {"solo": sorted(wit.plan.solo_set), "tie": sorted(wit.plan.tie_set)},
+        **dual_view("witness", wit.strategy.emphases),
+        "witness_utility": float(wit.value),
+        "epsilon_used": float(wit.epsilon_used),
+    })
 
 
 _CYCLE_SCHEMA = {"first": "int", "second": "int", "equivalence": "str",
@@ -299,8 +286,7 @@ _CYCLE_SCHEMA = {"first": "int", "second": "int", "equivalence": "str",
                     "value_exact": "str|int", "optimal_value": "float", "optimal": "bool"},
     "replay_outcome": {"cycle": _CYCLE_SCHEMA, "steps": "int"},
 })
-@click.pass_context
-def game_dynamics(ctx, init_path, replay_path, order, seed, max_rounds, epsilon, cycle_mode):
+def game_dynamics(init_path, replay_path, order, seed, max_rounds, epsilon, cycle_mode):
     if (init_path is None) == (replay_path is None):
         raise click.UsageError("provide exactly one of --init or --replay")
     if seed is None:
@@ -347,8 +333,7 @@ def game_dynamics(ctx, init_path, replay_path, order, seed, max_rounds, epsilon,
 @_schema_option({"mode": "str", "profiles_checked": "int", "strategy_count": "int",
                  "equilibria": "[[[float]]]", "equilibria_exact": "[[[str|int]]]",
                  "count": "int", "notes": "[str]"})
-@click.pass_context
-def game_oracle(ctx, n, m, peak, g_res, mode, jobs, budget, no_symmetry):
+def game_oracle(n, m, peak, g_res, mode, jobs, budget, no_symmetry):
     if jobs is None:
         jobs = _env_int("RANKCOMP_JOBS", low=1) or 1
     peak_value = parse_number(peak)
@@ -357,18 +342,15 @@ def game_oracle(ctx, n, m, peak, g_res, mode, jobs, budget, no_symmetry):
     )
     g = RankingGame.tent(n, m, peak_value)
     result = oracle_mod.grid_nash_search(g, spec, deviation_mode=mode, jobs=jobs)
-    _emit(
-        ctx,
-        {
-            "mode": result.mode,
-            "profiles_checked": result.profiles_checked,
-            "strategy_count": result.strategy_count,
-            "count": len(result.equilibria),
-            **dual_view("equilibria", [[v.emphases for v in prof.strategies]
-                                       for prof in result.equilibria]),
-            "notes": list(result.notes),
-        },
-    )
+    _emit({
+        "mode": result.mode,
+        "profiles_checked": result.profiles_checked,
+        "strategy_count": result.strategy_count,
+        "count": len(result.equilibria),
+        **dual_view("equilibria", [[v.emphases for v in prof.strategies]
+                                   for prof in result.equilibria]),
+        "notes": list(result.notes),
+    })
 
 
 # ----------------------------------------------------------------- features
@@ -384,8 +366,7 @@ def features():
 @click.option("--out", type=click.Path(), required=True)
 @_stopwords_option
 @_schema_option({"rows": "int", "out": "str", "columns": "[str]"})
-@click.pass_context
-def features_extract(ctx, log_path, out, stops):
+def features_extract(log_path, out, stops):
     """One CSV row of the eight features per document x query."""
     import csv
 
@@ -400,7 +381,7 @@ def features_extract(ctx, log_path, out, stops):
                 [topic.topic_id, rnd.round_index, q, pub] + [repr(v) for v in feats.as_tuple()]
             )
             rows += 1
-    _emit(ctx, {"rows": rows, "out": out, "columns": columns})
+    _emit({"rows": rows, "out": out, "columns": columns})
 
 
 @features.command("rbo")
@@ -408,14 +389,13 @@ def features_extract(ctx, log_path, out, stops):
 @click.option("--b", "path_b", type=click.Path(exists=True), required=True)
 @click.option("--p", "persistence", type=float, default=0.9)
 @_schema_option({"rbo": "float", "persistence": "float"})
-@click.pass_context
-def features_rbo(ctx, path_a, path_b, persistence):
+def features_rbo(path_a, path_b, persistence):
     """RBO between two JSON list files."""
     rankings = [read_json(path) for path in (path_a, path_b)]
     for path, items in zip((path_a, path_b), rankings):
         if not isinstance(items, list) or any(isinstance(e, (list, dict)) for e in items):
             raise DomainError(f"{path}: a ranking file must hold a JSON list of ids")
-    _emit(ctx, {"rbo": rbo(*rankings, persistence), "persistence": persistence})
+    _emit({"rbo": rbo(*rankings, persistence), "persistence": persistence})
 
 
 # ------------------------------------------------------------------- report
@@ -430,33 +410,27 @@ def report():
 @_log_option
 @_schema_option({"rows": [{"wins": "int", "doc_percent": "float",
                  "mean_nonwon_rank": "float|null"}], "observations": "int"})
-@click.pass_context
-def report_win_spread_cmd(ctx, log_path):
+def report_win_spread_cmd(log_path):
     data = report_win_spread(load_log(log_path))
-    _emit(ctx, {"rows": [asdict(r) for r in data["rows"]], "observations": data["observations"]})
+    _emit({"rows": [asdict(r) for r in data["rows"]], "observations": data["observations"]})
 
 
 @report.command("rbo")
 @_log_option
 @click.option("--p", "persistence", type=float, default=0.9)
 @_schema_option({"per_round": {"<round>": "float"}, "persistence": "float"})
-@click.pass_context
-def report_rbo_cmd(ctx, log_path, persistence):
+def report_rbo_cmd(log_path, persistence):
     values = report_ranking_agreement(load_log(log_path), persistence)
-    _emit(
-        ctx,
-        {"per_round": {str(k): v for k, v in values.items()}, "persistence": persistence},
-    )
+    _emit({"per_round": {str(k): v for k, v in values.items()}, "persistence": persistence})
 
 
 @report.command("trajectories")
 @_log_option
 @_stopwords_option
 @_schema_option({"per_round": {"<round>": {"winner|loser": {"<feature>": "float"}}}})
-@click.pass_context
-def report_trajectories_cmd(ctx, log_path, stops):
+def report_trajectories_cmd(log_path, stops):
     data = report_feature_trajectories(load_log(log_path), stops)
-    _emit(ctx, {"per_round": {str(k): v for k, v in data.items()}})
+    _emit({"per_round": {str(k): v for k, v in data.items()}})
 
 
 # ----------------------------------------------------------------- simulate
@@ -472,21 +446,13 @@ def simulate():
 @click.option("--seed", type=int, default=None)
 @click.option("--out", type=click.Path(), required=True)
 @_schema_option({"topics": "int", "rounds": "int", "publishers": "int", "out": "str"})
-@click.pass_context
-def simulate_competition(ctx, config_path, seed, out):
+def simulate_competition(config_path, seed, out):
     seed = _require_seed(seed)
     config = SynthesisConfig.from_dict(read_json(config_path) if config_path else {})
     log = synthesize(config, seed)
     save_log(out, log)
-    _emit(
-        ctx,
-        {
-            "topics": config.topics,
-            "rounds": config.rounds,
-            "publishers": config.publishers,
-            "out": out,
-        },
-    )
+    _emit({"topics": config.topics, "rounds": config.rounds, "publishers": config.publishers,
+           "out": out})
 
 
 # ------------------------------------------------------------------ predict
@@ -504,15 +470,14 @@ def predict():
 @click.option("--normalize/--no-normalize", default=True,
               help="Apply per-query min-max normalization (default on).")
 @_schema_option({"instances": "int", "groups": "int", "out": "str"})
-@click.pass_context
-def predict_build(ctx, log_path, out, stops, normalize):
+def predict_build(log_path, out, stops, normalize):
     log = load_log(log_path)
     insts = build_instances(log, filter_for_prediction(log), stops)
     if normalize:
         insts = normalize_per_query(insts)
     instances_to_csv(out, insts)
     groups = len({inst.group_key for inst in insts})
-    _emit(ctx, {"instances": len(insts), "groups": groups, "out": out})
+    _emit({"instances": len(insts), "groups": groups, "out": out})
 
 
 @predict.command("cv")
@@ -525,8 +490,7 @@ def predict_build(ctx, log_path, out, stops, normalize):
 @_schema_option({"folds": [{"test_round": "int", "selected_param": "float", "acc": "float",
                  "f1": "float"}], "mean_acc": "float", "mean_f1": "float",
                  "params": "[float]"})
-@click.pass_context
-def predict_cv(ctx, instances_path, params, seed, sections):
+def predict_cv(instances_path, params, seed, sections):
     if seed is None:
         seed = _env_int("RANKCOMP_SEED") or 0
     insts = instances_from_csv(instances_path)
@@ -536,7 +500,7 @@ def predict_cv(ctx, instances_path, params, seed, sections):
         grid = tuple(float(v) for v in params.split(","))
     except ValueError as exc:  # names the entry: could not convert string to float: 'abc'
         raise DomainError(f"--params: {exc}") from None
-    _emit(ctx, asdict(cross_validate(insts, grid, seed=seed)))
+    _emit(asdict(cross_validate(insts, grid, seed=seed)))
 
 
 @predict.command("baselines")
@@ -544,8 +508,7 @@ def predict_cv(ctx, instances_path, params, seed, sections):
 @click.option("--seed", type=int, default=None)
 @_stopwords_option
 @_schema_option({"<baseline>": {"acc": "float", "f1": "float"}})
-@click.pass_context
-def predict_baselines(ctx, log_path, seed, stops):
+def predict_baselines(log_path, seed, stops):
     seed = _require_seed(seed)
     log = load_log(log_path)
     insts = normalize_per_query(build_instances(log, filter_for_prediction(log), stops))
@@ -553,7 +516,7 @@ def predict_baselines(ctx, log_path, seed, stops):
     for name, preds in run_baselines(log, insts, seed).items():
         acc, f1 = evaluate(preds)
         results[name] = {"acc": acc, "f1": f1}
-    _emit(ctx, results)
+    _emit(results)
 
 
 if __name__ == "__main__":

@@ -63,6 +63,10 @@ class GameHistory:
         return tuple(sorted(self.rounds[0].documents)) if self.rounds else ()
 
     def round(self, round_index: int) -> RoundRecord:
+        if not 1 <= round_index <= len(self.rounds):
+            raise DomainError(
+                f"topic {self.topic_id!r}: round {round_index} outside 1..{len(self.rounds)}"
+            )
         return self.rounds[round_index - 1]
 
 
@@ -154,10 +158,8 @@ def _history_from_dict(data: dict, where: str) -> GameHistory:
     try:
         rounds = tuple(
             RoundRecord(
-                round_index=int(r["round_index"]),
-                documents={
-                    pub: (d["text"], bool(d["is_bot"])) for pub, d in r["documents"].items()
-                },
+                round_index=r["round_index"],
+                documents={pub: (d["text"], d["is_bot"]) for pub, d in r["documents"].items()},
                 rankings=tuple(tuple(rk) for rk in r["rankings"]),
             )
             for r in data["rounds"]
@@ -172,11 +174,22 @@ def _history_from_dict(data: dict, where: str) -> GameHistory:
     if not all(isinstance(q, str) for q in history.queries):
         raise LogFormatError(f"{where}: topic {history.topic_id!r} has a non-string query")
     for rnd in history.rounds:
-        for pub, (text, _) in rnd.documents.items():
+        # JSON types as written: no bool for a round index, no string for a flag
+        if type(rnd.round_index) is not int:
+            raise LogFormatError(
+                f"{where}: topic {history.topic_id!r} round_index {rnd.round_index!r} "
+                "is not an integer"
+            )
+        for pub, (text, bot) in rnd.documents.items():
             if not isinstance(text, str):
                 raise LogFormatError(
                     f"{where}: topic {history.topic_id!r} round {rnd.round_index} document "
                     f"{pub!r} text is not a string"
+                )
+            if not isinstance(bot, bool):
+                raise LogFormatError(
+                    f"{where}: topic {history.topic_id!r} round {rnd.round_index} document "
+                    f"{pub!r} is_bot is not a boolean"
                 )
         if not all(isinstance(pub, str) for ranking in rnd.rankings for pub in ranking):
             raise LogFormatError(
@@ -233,16 +246,22 @@ class PredictionTriple:
     round_index: int  # the round being predicted (l)
 
 
-def filter_for_prediction(log: CompetitionLog, min_round: int = 3) -> list[PredictionTriple]:
+#: the first round a winner is predicted at: the trajectory features read
+#: the two rounds before it
+FIRST_PREDICTED_ROUND = 3
+
+
+def filter_for_prediction(log: CompetitionLog) -> list[PredictionTriple]:
     """(topic, query, round) triples eligible for winner prediction.
 
     A triple survives when the round-l winner is a non-bot publisher that
-    differs from the round-(l-1) winner; earlier rounds than `min_round`
-    are excluded because the trajectory features need two prior rounds.
+    differs from the round-(l-1) winner.  Rounds before
+    ``FIRST_PREDICTED_ROUND`` are excluded because the trajectory features
+    need two prior rounds.
     """
     out = []
     for topic in log.topics:
-        for l in range(min_round, len(topic.rounds) + 1):
+        for l in range(FIRST_PREDICTED_ROUND, len(topic.rounds) + 1):
             now = topic.round(l)
             prev = topic.round(l - 1)
             for q in range(len(topic.queries)):

@@ -31,7 +31,7 @@ from math import factorial
 from typing import Optional, Sequence
 
 from .best_response import DEFAULT_EPSILON, _respond, _witness
-from .game import RankingGame, StrategyProfile, _scored, _utilities, require_valid
+from .game import RankingGame, StrategyProfile, _utilities, query_scores, require_valid
 from .numeric import CapacityError, DomainError, Number, improves, numbers_equal
 
 #: most player relabelings symmetric cycle detection may try, (n-1)!
@@ -85,9 +85,9 @@ class TraceStepReport:
     optimal: bool
 
 
-def _schedule(order: str, n: int, start: int, seed: Optional[int]):
+def _schedule(order: str, n: int, seed: Optional[int]):
     if order == "round-robin":
-        i = start
+        i = min(1, n - 1)
         while True:
             yield i
             i = (i + 1) % n
@@ -108,7 +108,6 @@ def run_dynamics(
     initial: StrategyProfile,
     *,
     order: str = "round-robin",
-    start_player: Optional[int] = None,
     seed: Optional[int] = None,
     max_rounds: int = 100,
     epsilon: Number = DEFAULT_EPSILON,
@@ -116,25 +115,22 @@ def run_dynamics(
 ) -> DynamicsTrace:
     """Iterate best responses until convergence, a cycle, or the budget.
 
-    The default schedule is round-robin starting at the second player,
-    matching the motivating example's move order.  Movers play the
-    attained optimum (not the supremum): every strategy written down must
-    be realizable.
+    Round-robin order starts at the second player (the only one when
+    n = 1), matching the motivating example's move order; random order
+    draws each mover from `seed`.  Movers play the attained optimum (not
+    the supremum): every strategy written down must be realizable.  The
+    run converges once n steps in a row stay; its round is the number of
+    steps before those n.
     """
     _check_cycle_mode(game, cycle_mode)
     require_valid(game, initial)
     if max_rounds < 1:
         raise DomainError("max_rounds must be >= 1")
-    if start_player is None:
-        start_player = 1 if game.n >= 2 else 0
-    sched = _schedule(order, game.n, start_player, seed)
+    sched = _schedule(order, game.n, seed)
 
     profile = initial
     steps: list[DynamicsStep] = []
     states: list[tuple[StrategyProfile, int]] = []
-    stays = 0
-    last_move = -1
-    fresh_state = True  # profile changed since the last recorded state
 
     for t in range(max_rounds):
         mover = next(sched)
@@ -142,31 +138,26 @@ def run_dynamics(
         # by an actual move (plus the start) can open a cycle; this keeps
         # convergence at a fixed point from masquerading as a symmetric
         # repeat between the two movers of an identical-strategy profile
-        if fresh_state:
+        if not steps or steps[-1].moved:
             states.append((profile, mover))
-            fresh_state = False
             cyc = _find_cycle(states, cycle_mode)
             if cyc is not None:
                 outcome = DynamicsOutcome(kind="cycled", cycle=cyc)
                 break
             # a witness is valid by construction, so each new profile is only scored
-            one, columns = _scored(game, profile)
-            utility = _utilities(game, columns, one)
+            columns = query_scores(game, profile)
+            utility = _utilities(columns)
 
         current = utility[mover]
-        ths, br = _respond(game, columns, mover, one)
+        ths, br = _respond(game, columns, mover)
         if improves(br.attained_value, current):
-            witness = _witness(game, profile, mover, ths, br, one, epsilon)
+            witness = _witness(game, profile, mover, ths, br, epsilon)
             profile = profile.replace(mover, witness.strategy)
             steps.append(DynamicsStep(t, mover, True, witness.value, profile))
-            stays = 0
-            last_move = t
-            fresh_state = True
         else:
             steps.append(DynamicsStep(t, mover, False, current, profile))
-            stays += 1
-            if stays >= game.n:
-                outcome = DynamicsOutcome(kind="converged", round=last_move + 1)
+            if len(steps) >= game.n and not any(s.moved for s in steps[-game.n:]):
+                outcome = DynamicsOutcome(kind="converged", round=len(steps) - game.n)
                 break
     else:
         outcome = DynamicsOutcome(kind="budget_exhausted")
@@ -204,13 +195,13 @@ def verify_trace(
     for prof in profiles:
         require_valid(game, prof)
     movers = _movers(game, profiles, movers)
-    scored = [_scored(game, prof) for prof in profiles]
-    utility = [_utilities(game, columns, one) for one, columns in scored]
+    scored = [query_scores(game, prof) for prof in profiles]
+    utility = [_utilities(columns) for columns in scored]
     reports = []
     for t, mover in enumerate(movers):
-        (one, columns), current = scored[t], utility[t]
+        columns, current = scored[t], utility[t]
         players = range(game.n) if mover is None else (mover,)
-        attained = {i: _respond(game, columns, i, one)[1].attained_value for i in players}
+        attained = {i: _respond(game, columns, i)[1].attained_value for i in players}
         if mover is None:
             # report the player with the largest improvement gap; a stay is
             # optimal only when even that player cannot gain

@@ -26,7 +26,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .best_response import DEFAULT_EPSILON, _respond, _witness
-from .game import EmphasisVector, RankingGame, StrategyProfile, _scored, _utilities, require_valid, unit
+from .game import EmphasisVector, RankingGame, StrategyProfile, _utilities, query_scores, require_valid
+from .game import unit
 from .numeric import DomainError, Number, ceil_div, improves, parse_number
 
 
@@ -218,14 +219,14 @@ def verify_nash(game: RankingGame, profile: StrategyProfile) -> NashReport:
     included.
     """
     require_valid(game, profile)
-    one, columns = _scored(game, profile)
-    current = _utilities(game, columns, one)
+    columns = query_scores(game, profile)
+    current = _utilities(columns)
     per_player = []
     for i in range(game.n):
-        ths, br = _respond(game, columns, i, one)
+        ths, br = _respond(game, columns, i)
         witness = None
         if improves(br.attained_value, current[i]):
-            witness = _witness(game, profile, i, ths, br, one, DEFAULT_EPSILON).strategy
+            witness = _witness(game, profile, i, ths, br, DEFAULT_EPSILON).strategy
         per_player.append(
             PlayerDeviation(
                 player=i,

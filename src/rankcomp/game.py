@@ -228,8 +228,16 @@ def score(game: RankingGame, strategy: EmphasisVector, query_index: int) -> Numb
 
 
 def query_scores(game: RankingGame, profile: StrategyProfile) -> tuple[tuple[Number, ...], ...]:
-    """Every query's scores, indexed by player, in the profile's mode (see numeric)."""
-    return _scored(game, profile)[1]
+    """Every query's scores, indexed by player, in the profile's mode (see numeric).
+
+    Float mode makes every score a float and exact scores stay exact, so
+    any one score carries the mode: ``one_like(columns[0][0])`` is its 1.
+    """
+    f = game.f
+    columns = tuple(tuple(f(vec[j]) for vec in profile.strategies) for j in range(game.m))
+    if isinstance(unit(game, profile), float):
+        columns = tuple(tuple(map(float, column)) for column in columns)
+    return columns
 
 
 def induce_ranking(game: RankingGame, profile: StrategyProfile, query_index: int) -> InducedRanking:
@@ -257,22 +265,12 @@ def unit(game: RankingGame, *profiles: StrategyProfile) -> Number:
 
 def utilities(game: RankingGame, profile: StrategyProfile) -> tuple[Number, ...]:
     """Per-player expected utility: each query's top group splits one unit."""
-    one, columns = _scored(game, profile)
-    return _utilities(game, columns, one)
+    return _utilities(query_scores(game, profile))
 
 
-def _scored(game: RankingGame, profile: StrategyProfile):
-    """(unit, query scores): what the solver's private helpers read of a profile."""
-    one = unit(game, profile)
-    f = game.f
-    columns = tuple(tuple(f(vec[j]) for vec in profile.strategies) for j in range(game.m))
-    if isinstance(one, float):
-        columns = tuple(tuple(map(float, column)) for column in columns)
-    return one, columns
-
-
-def _utilities(game: RankingGame, columns, one: Number) -> tuple[Number, ...]:
-    out = [0 * one] * game.n
+def _utilities(columns) -> tuple[Number, ...]:
+    one = one_like(columns[0][0])
+    out = [0 * one] * len(columns[0])
     for column in columns:
         top = max(column)
         winners = [i for i, s in enumerate(column) if numbers_equal(s, top)]
@@ -346,12 +344,14 @@ def _field(data, key: str, kind: str):
 
 def _game_from_dict(data, kind: str) -> RankingGame:
     n, m = _field(data, "n", kind), _field(data, "m", kind)
-    try:
-        n, m = int(n), int(m)
-    except (TypeError, ValueError) as exc:
+    try:  # exactly, so that 2.9 is refused rather than truncated
+        n, m = parse_number(n), parse_number(m)
+        if n.denominator != 1 or m.denominator != 1:
+            raise DomainError(f"got n={n}, m={m}")
+    except DomainError as exc:
         raise DomainError(f"{kind} file: n and m must be integers ({exc})") from None
     peak = data["peak_exact"] if "peak_exact" in data else _field(data, "peak", kind)
-    return RankingGame.tent(n, m, parse_number(peak))
+    return RankingGame.tent(int(n), int(m), parse_number(peak))
 
 
 def _profile_from_rows(rows, kind: str) -> StrategyProfile:

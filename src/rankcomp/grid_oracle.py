@@ -43,7 +43,7 @@ import numpy as np
 
 from . import kernels
 from .equilibria import verify_nash
-from .game import EmphasisVector, RankingGame, SinglePeakFunction, StrategyProfile, _scored, _utilities
+from .game import EmphasisVector, RankingGame, SinglePeakFunction, StrategyProfile, _utilities, query_scores
 from .numeric import CapacityError, DomainError, Number, improves, parse_number
 
 DEFAULT_BUDGET = 100_000_000
@@ -209,14 +209,14 @@ def _grid_stable(game, profile, alternatives) -> bool:
     """
     alternatives = tuple(alternatives)  # iterated once per player
     stacked = StrategyProfile(profile.strategies + alternatives)
-    one, columns = _scored(game, stacked)
-    current = _utilities(game, [column[:game.n] for column in columns], one)
+    columns = query_scores(game, stacked)
+    current = _utilities([column[:game.n] for column in columns])
     for i in range(game.n):
         for k, alt in enumerate(alternatives, game.n):
             if alt.emphases == profile[i].emphases:
                 continue
             swapped = [column[:i] + (column[k],) + column[i + 1:game.n] for column in columns]
-            if improves(_utilities(game, swapped, one)[i], current[i]):
+            if improves(_utilities(swapped)[i], current[i]):
                 return False
     return True
 

@@ -40,6 +40,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .competition_log import (
+    FIRST_PREDICTED_ROUND,
     CompetitionLog,
     PredictionTriple,
     filter_for_prediction,
@@ -148,7 +149,7 @@ def build_instances(
     corpus_topic: Optional[str] = None
     for (topic_id, l), run in groupby(triples, key=lambda t: (t.topic_id, t.round_index)):
         topic = log.topic(topic_id)
-        if l < 3 or l > len(topic.rounds):
+        if not FIRST_PREDICTED_ROUND <= l <= len(topic.rounds):
             continue
         if corpus_topic != topic_id:
             corpus, corpus_topic = topic_corpus(topic), topic_id

@@ -323,6 +323,8 @@ def select_diverse_queries(
     """
     if not candidates:
         raise DomainError("no candidates to select from")
+    if count < 1:
+        raise DomainError(f"count must be >= 1, got {count}")
     if count > len(candidates):
         raise DomainError(f"cannot select {count} from {len(candidates)} candidates")
     if seed_query is None:

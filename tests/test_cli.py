@@ -293,6 +293,30 @@ class TestPipelineCommands:
         assert json.loads(res.output)["instances"] == 220
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_game_commands_digest_is_pinned(self, runner, tmp_path):
+        import hashlib
+
+        prof, seq = tmp_path / "p.json", tmp_path / "s.json"
+        prof.write_text(json.dumps({"n": 2, "m": 3, "peak": 0.5, "strategies": [
+            ["0", "0", "0"], ["0.4", "0.5", "0.1"]]}), encoding="utf-8")
+        seq.write_text(json.dumps({"n": 2, "m": 3, "peak": "9/20", "profiles": [
+            [["1/10", "1/5", "0"], ["3/10", "1/10", "0"]],
+            [["1/10", "1/5", "0"], ["2/5", "1/2", "1/10"]]]}), encoding="utf-8")
+        runs = [
+            "exists --n 4 --m 6 --peak 2/5",
+            "construct --n 3 --m 5 --peak 1/3 --check",
+            f"verify --profile {prof}",
+            f"best-response --profile {prof} --player 0 --epsilon 0.1",
+            f"dynamics --init {prof} --max-rounds 10",
+            f"dynamics --replay {seq}",
+            "oracle --n 2 --m 3 --peak 2/3 --grid 6",
+        ]
+        out = b"".join(invoke(runner, ["game", *args.split()]).stdout_bytes for args in runs)
+        assert len(out) == 3230
+        assert hashlib.sha256(out).hexdigest() == (
+            "b18f0df870a6250debddabd8cc3656b6361d8a716c9f7465fca51dbe03bdc83c"
+        )
+
     def test_features_rbo(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         a.write_text("[1, 2]", encoding="utf-8")

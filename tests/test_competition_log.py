@@ -138,6 +138,29 @@ class TestPersistence:
         with pytest.raises(LogFormatError, match="line 1: topic 'T3' round 1 ranks a publisher"):
             load_log(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("is_bot", "false", "'a' is_bot is not a boolean"),
+        ("is_bot", 0, "'a' is_bot is not a boolean"),
+        ("round_index", 1.9, "round_index 1.9 is not an integer"),
+        ("round_index", True, "round_index True is not an integer"),
+        ("round_index", "1", "round_index '1' is not an integer"),
+    ])
+    def test_log_field_types_are_not_coerced(self, tmp_path, field, value, message):
+        rnd = {
+            "round_index": 1,
+            "documents": {"a": {"text": "x", "is_bot": False}},
+            "rankings": [["a"]],
+        }
+        if field == "is_bot":
+            rnd["documents"]["a"]["is_bot"] = value
+        else:
+            rnd[field] = value
+        data = {"topic_id": "T4", "queries": ["q"], "rounds": [rnd]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n" + json.dumps(data) + "\n", encoding="utf-8")
+        with pytest.raises(LogFormatError, match=f"line 2: topic 'T4' .*{message}"):
+            load_log(path)
+
     @pytest.mark.parametrize(
         "line",
         [
@@ -191,6 +214,13 @@ class TestFilterForPrediction:
                 GameHistory(topic_id="T", queries=("q",), rounds=tuple(rounds)),
             )
         )
+
+    def test_round_lookup_refuses_indices_outside_the_history(self):
+        topic = self._three_round_history(["ann", "ann", "bob"]).topics[0]
+        assert topic.round(1) is topic.rounds[0] and topic.round(3) is topic.rounds[2]
+        for index in (0, -1, 4):
+            with pytest.raises(DomainError, match=rf"topic 'T': round {index} outside 1\.\.3"):
+                topic.round(index)
 
     def test_winner_change_is_kept(self):
         log = self._three_round_history(["ann", "ann", "bob"])

@@ -222,6 +222,14 @@ class TestRunDynamics:
         assert trace.outcome.kind == "converged"
         assert trace.outcome.round == 0
 
+    def test_convergence_round_counts_the_steps_before_the_final_stays(self):
+        g = RankingGame.tent(3, 2, F(1, 6))
+        start = StrategyProfile([[F(0), F(1, 6)], [F(0), F(2, 3)], [F(1, 6), F(0)]])
+        trace = run_dynamics(g, start)
+        assert [(s.mover, s.moved) for s in trace.steps] == [
+            (1, True), (2, True), (0, True), (1, False), (2, False), (0, False)]
+        assert (trace.outcome.kind, trace.outcome.round) == ("converged", 3)
+
     def test_converged_final_profile_is_nash(self):
         g = RankingGame.tent(2, 3, F(1, 3))
         start = StrategyProfile([[F(1, 6), F(0), F(1, 4)], [F(0), F(1, 5), F(0)]])

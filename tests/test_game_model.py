@@ -260,11 +260,19 @@ class TestProfileFiles:
             ({"n": 1, "m": 1, "peak": 0.5, "strategies": 3}, "list of number lists"),
             ({"n": 1, "m": 1, "peak": 0.5, "strategies": [[{}]]}, "cannot parse number"),
             ([1, 2], "profile file must hold a JSON object"),
+            ({"n": 2.9, "m": 1, "peak": 0.5, "strategies": [[0], [0]]},
+             "n and m must be integers"),
+            ({"n": 1, "m": True, "peak": 0.5, "strategies": [[0]]}, "n and m must be integers"),
         ],
     )
     def test_malformed_profile_is_a_domain_error(self, data, message):
         with pytest.raises(DomainError, match=message):
             profile_from_dict(data)
+
+    @pytest.mark.parametrize("size", [2, 2.0, "2"])
+    def test_integral_sizes_are_accepted(self, size):
+        g, _ = profile_from_dict({"n": size, "m": size, "peak": 0.5, "strategies": [[0, 0]] * 2})
+        assert (g.n, g.m) == (2, 2) and type(g.n) is int and type(g.m) is int
 
     def test_sequence_shares_the_profile_fields(self):
         g, profiles = sequence_from_dict(

@@ -9,7 +9,7 @@ from conftest import random_fraction, random_strategy
 from rankcomp import best_response, game as game_module
 from rankcomp.best_response import best_response_value, best_response_witness, thresholds
 from rankcomp.equilibria import verify_nash
-from rankcomp.game import RankingGame, StrategyProfile, induce_ranking, utilities
+from rankcomp.game import RankingGame, StrategyProfile, induce_ranking, query_scores, utilities
 from rankcomp.numeric import improves, numbers_equal, one_like
 
 
@@ -50,7 +50,9 @@ def test_every_returned_number_is_in_the_mode_of_the_inputs(n, float_knots, emph
         game = RankingGame.tent(n, m, float(peak) if float_knots else peak)
         profile = StrategyProfile(_rows(rng, n, m, emphases))
         numbers = list(utilities(game, profile))
+        numbers += [s for column in query_scores(game, profile) for s in column]
         for i in range(n):
+            numbers += [th.cost for th in thresholds(game, profile, i)]
             br = best_response_value(game, profile, i)
             wit = best_response_witness(game, profile, i)
             numbers += [br.sup_value, br.attained_value, br.plan.value, br.plan.epsilon,

@@ -277,6 +277,9 @@ class TestDiversityHelpers:
     def test_select_count_validation(self):
         with pytest.raises(DomainError):
             select_diverse_queries(["q0"], {}, 2)
+        for count in (0, -1):
+            with pytest.raises(DomainError, match="count must be >= 1"):
+                select_diverse_queries(["q0", "q1"], {("q0", "q1"): 0.5}, count)
 
 
 class TestStopwords:
