@@ -31,7 +31,6 @@ from . import grid_oracle as oracle_mod
 from .competition_log import (
     SynthesisConfig,
     document_features,
-    filter_for_prediction,
     load_log,
     report_feature_trajectories,
     report_ranking_agreement,
@@ -155,7 +154,7 @@ class _Cli(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (DomainError, CapacityError, FileNotFoundError) as exc:
+        except (DomainError, CapacityError, OSError) as exc:
             click.echo(dump_json({"error": str(exc)}), err=True)
             sys.exit(1)
 
@@ -472,7 +471,7 @@ def predict():
 @_schema_option({"instances": "int", "groups": "int", "out": "str"})
 def predict_build(log_path, out, stops, normalize):
     log = load_log(log_path)
-    insts = build_instances(log, filter_for_prediction(log), stops)
+    insts = build_instances(log, stopwords=stops)
     if normalize:
         insts = normalize_per_query(insts)
     instances_to_csv(out, insts)
@@ -511,7 +510,7 @@ def predict_cv(instances_path, params, seed, sections):
 def predict_baselines(log_path, seed, stops):
     seed = _require_seed(seed)
     log = load_log(log_path)
-    insts = normalize_per_query(build_instances(log, filter_for_prediction(log), stops))
+    insts = normalize_per_query(build_instances(log, stopwords=stops))
     results = {}
     for name, preds in run_baselines(log, insts, seed).items():
         acc, f1 = evaluate(preds)

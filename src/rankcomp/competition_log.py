@@ -5,7 +5,7 @@ A log is a set of per-topic game histories.  Each history carries the
 topic's queries and an ordered list of rounds; a round stores every
 publisher's document (with a bot flag) and one total-order ranking per
 query (rank 1 first).  The on-disk format is JSONL with one history per
-line; an optional leading ``{"_meta": ...}`` line carries free-form log
+line; an optional leading ``{"_meta": {...}}`` line carries free-form log
 metadata (ranker label, tool policy, generator config).
 
 Text statistics go through ``topic_corpus``: one ``TopicCorpus`` per
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, Optional
 
 from .numeric import DomainError
-from .stopwords import DEFAULT_STOPWORDS
+from .stopwords import DEFAULT_STOPWORDS, read_utf8
 from .text_features import (
     FEATURE_NAMES,
     FeatureVector,
@@ -57,10 +57,6 @@ class GameHistory:
     topic_id: str
     queries: tuple[str, ...]
     rounds: tuple[RoundRecord, ...]
-
-    @property
-    def publishers(self) -> tuple[str, ...]:
-        return tuple(sorted(self.rounds[0].documents)) if self.rounds else ()
 
     def round(self, round_index: int) -> RoundRecord:
         if not 1 <= round_index <= len(self.rounds):
@@ -106,36 +102,6 @@ class LogFormatError(DomainError):
     """Schema violation in a log file, annotated with the line number."""
 
 
-def _validate_history(h: GameHistory, where: str) -> None:
-    if not h.queries:
-        raise LogFormatError(f"{where}: topic {h.topic_id!r} has no queries")
-    publishers: Optional[frozenset[str]] = None
-    for idx, rnd in enumerate(h.rounds, start=1):
-        if rnd.round_index != idx:
-            raise LogFormatError(
-                f"{where}: topic {h.topic_id!r} round {rnd.round_index} out of order "
-                f"(expected {idx})"
-            )
-        here = frozenset(rnd.documents)
-        if publishers is None:
-            publishers = here
-        elif here != publishers:
-            raise LogFormatError(
-                f"{where}: topic {h.topic_id!r} round {idx} publisher set changed"
-            )
-        if len(rnd.rankings) != len(h.queries):
-            raise LogFormatError(
-                f"{where}: topic {h.topic_id!r} round {idx} has {len(rnd.rankings)} "
-                f"rankings for {len(h.queries)} queries"
-            )
-        for q, ranking in enumerate(rnd.rankings):
-            if sorted(ranking) != sorted(publishers):
-                raise LogFormatError(
-                    f"{where}: topic {h.topic_id!r} round {idx} query {q} ranking "
-                    "is not a permutation of the publishers"
-                )
-
-
 def _history_to_dict(h: GameHistory) -> dict:
     return {
         "topic_id": h.topic_id,
@@ -154,50 +120,68 @@ def _history_to_dict(h: GameHistory) -> dict:
     }
 
 
+_JSON_TYPES = {str: "a string", int: "an integer", bool: "a boolean", list: "a list",
+               dict: "an object"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if its parsed JSON type is exactly ``kind`` (a bool is no integer).
+
+    Fields are read with ``dict.get``, so a missing field fails as null.
+    """
+    if type(value) is not kind:
+        raise LogFormatError(f"{what} is not {_JSON_TYPES[kind]}")
+    return value
+
+
+def _strings(value, what: str, entry: str) -> tuple[str, ...]:
+    """A JSON list of strings; ``what`` names the list and ``entry`` any one string."""
+    return tuple(_typed(v, str, entry) for v in _typed(value, list, what))
+
+
 def _history_from_dict(data: dict, where: str) -> GameHistory:
-    try:
-        rounds = tuple(
-            RoundRecord(
-                round_index=r["round_index"],
-                documents={pub: (d["text"], d["is_bot"]) for pub, d in r["documents"].items()},
-                rankings=tuple(tuple(rk) for rk in r["rankings"]),
-            )
-            for r in data["rounds"]
-        )
-        history = GameHistory(
-            topic_id=str(data["topic_id"]),
-            queries=tuple(data["queries"]),
-            rounds=rounds,
-        )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise LogFormatError(f"{where}: malformed history ({exc})") from exc
-    if not all(isinstance(q, str) for q in history.queries):
-        raise LogFormatError(f"{where}: topic {history.topic_id!r} has a non-string query")
-    for rnd in history.rounds:
-        # JSON types as written: no bool for a round index, no string for a flag
-        if type(rnd.round_index) is not int:
-            raise LogFormatError(
-                f"{where}: topic {history.topic_id!r} round_index {rnd.round_index!r} "
-                "is not an integer"
-            )
-        for pub, (text, bot) in rnd.documents.items():
-            if not isinstance(text, str):
+    """One history, each field type-checked as it is read, in one walk over the rounds.
+
+    Rounds run 1, 2, ...; each has at least one document, the first round's
+    publisher set, and one ranking per query that orders those publishers.
+    """
+    topic_id = _typed(data.get("topic_id"), str, f"{where}: topic_id")
+    where = f"{where}: topic {topic_id!r}"
+    queries = _strings(data.get("queries"), f"{where} queries", f"{where} has a query that")
+    if not queries:
+        raise LogFormatError(f"{where} has no queries")
+    publishers: Optional[list[str]] = None
+    rounds = []
+    for idx, rnd in enumerate(_typed(data.get("rounds"), list, f"{where} rounds"), start=1):
+        at = f"{where} round {idx}"
+        index = _typed(rnd, dict, at).get("round_index")
+        if type(index) is not int:
+            raise LogFormatError(f"{where} round_index {index!r} is not an integer")
+        if index != idx:
+            raise LogFormatError(f"{where} round {index} out of order (expected {idx})")
+        documents = {}
+        for pub, doc in _typed(rnd.get("documents"), dict, f"{at} documents").items():
+            doc = _typed(doc, dict, f"{at} document {pub!r}")
+            documents[pub] = (_typed(doc.get("text"), str, f"{at} document {pub!r} text"),
+                              _typed(doc.get("is_bot"), bool, f"{at} document {pub!r} is_bot"))
+        if not documents:
+            raise LogFormatError(f"{at} has no documents")
+        if publishers is None:
+            publishers = sorted(documents)
+        elif sorted(documents) != publishers:
+            raise LogFormatError(f"{at} publisher set changed")
+        rankings = []
+        for q, ranking in enumerate(_typed(rnd.get("rankings"), list, f"{at} rankings")):
+            ranking = _strings(ranking, f"{at} query {q} ranking", f"{at} ranks a publisher that")
+            if sorted(ranking) != publishers:
                 raise LogFormatError(
-                    f"{where}: topic {history.topic_id!r} round {rnd.round_index} document "
-                    f"{pub!r} text is not a string"
+                    f"{at} query {q} ranking is not a permutation of the publishers"
                 )
-            if not isinstance(bot, bool):
-                raise LogFormatError(
-                    f"{where}: topic {history.topic_id!r} round {rnd.round_index} document "
-                    f"{pub!r} is_bot is not a boolean"
-                )
-        if not all(isinstance(pub, str) for ranking in rnd.rankings for pub in ranking):
-            raise LogFormatError(
-                f"{where}: topic {history.topic_id!r} round {rnd.round_index} ranks a "
-                "publisher that is not a string"
-            )
-    _validate_history(history, where)
-    return history
+            rankings.append(ranking)
+        if len(rankings) != len(queries):
+            raise LogFormatError(f"{at} has {len(rankings)} rankings for {len(queries)} queries")
+        rounds.append(RoundRecord(round_index=idx, documents=documents, rankings=tuple(rankings)))
+    return GameHistory(topic_id=topic_id, queries=queries, rounds=tuple(rounds))
 
 
 def save_log(path, log: CompetitionLog) -> None:
@@ -212,27 +196,26 @@ def load_log(path) -> CompetitionLog:
     topics: list[GameHistory] = []
     metadata: dict = {}
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogFormatError(f"line {lineno}: invalid JSON ({exc})") from exc
-            if not isinstance(data, dict):
-                raise LogFormatError(f"line {lineno}: expected a JSON object")
-            if "_meta" in data:
-                if lineno != 1:
-                    raise LogFormatError(f"line {lineno}: _meta only allowed on line 1")
-                metadata = data["_meta"]
-                continue
-            history = _history_from_dict(data, f"line {lineno}")
-            if history.topic_id in seen_ids:
-                raise LogFormatError(f"line {lineno}: duplicate topic {history.topic_id!r}")
-            seen_ids.add(history.topic_id)
-            topics.append(history)
+    for lineno, line in enumerate(read_utf8(path, "log"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LogFormatError(f"line {lineno}: invalid JSON ({exc})") from exc
+        if not isinstance(data, dict):
+            raise LogFormatError(f"line {lineno}: expected a JSON object")
+        if "_meta" in data:
+            if lineno != 1:
+                raise LogFormatError(f"line {lineno}: _meta only allowed on line 1")
+            metadata = _typed(data["_meta"], dict, f"line {lineno}: _meta")
+            continue
+        history = _history_from_dict(data, f"line {lineno}")
+        if history.topic_id in seen_ids:
+            raise LogFormatError(f"line {lineno}: duplicate topic {history.topic_id!r}")
+        seen_ids.add(history.topic_id)
+        topics.append(history)
     return CompetitionLog(topics=tuple(topics), metadata=metadata)
 
 

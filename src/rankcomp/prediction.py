@@ -48,7 +48,7 @@ from .competition_log import (
 )
 from .logreg import LinearModel, train_lreg, train_lreg_grid
 from .numeric import DomainError
-from .stopwords import DEFAULT_STOPWORDS
+from .stopwords import DEFAULT_STOPWORDS, read_utf8
 from .text_features import cosine, tfidf_vector, tokenize
 
 #: the instance layout: each section's feature names, sections in instance order
@@ -511,31 +511,30 @@ def instances_to_csv(path, instances: Sequence[PredictionInstance]) -> None:
 def instances_from_csv(path) -> list[PredictionInstance]:
     """Read an instance CSV; a malformed row is a DomainError naming its line."""
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != _CSV_HEADER:
-            raise DomainError("instance CSV header does not match the 27-feature layout")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != len(_CSV_HEADER):
-                raise DomainError(f"{where}: {len(row)} columns, expected {len(_CSV_HEADER)}")
-            if row[-1] not in ("0", "1"):
-                raise DomainError(f"{where}: label {row[-1]!r} is not 0 or 1")
-            try:
-                features = tuple(float(v) for v in row[4 : 4 + FEATURE_DIM])
-                finite = np.isfinite(features)
-                if not finite.all():
-                    raise ValueError(f"feature {FEATURE_NAMES[finite.argmin()]} is not finite")
-                out.append(
-                    PredictionInstance(
-                        topic_id=row[0],
-                        query_index=int(row[1]),
-                        round_index=int(row[2]),
-                        publisher=row[3],
-                        features=features,
-                        label=row[-1] == "1",
-                    )
+    reader = csv.reader(read_utf8(path, "instance CSV"))
+    if next(reader, None) != _CSV_HEADER:
+        raise DomainError("instance CSV header does not match the 27-feature layout")
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        if len(row) != len(_CSV_HEADER):
+            raise DomainError(f"{where}: {len(row)} columns, expected {len(_CSV_HEADER)}")
+        if row[-1] not in ("0", "1"):
+            raise DomainError(f"{where}: label {row[-1]!r} is not 0 or 1")
+        try:
+            features = tuple(float(v) for v in row[4 : 4 + FEATURE_DIM])
+            finite = np.isfinite(features)
+            if not finite.all():
+                raise ValueError(f"feature {FEATURE_NAMES[finite.argmin()]} is not finite")
+            out.append(
+                PredictionInstance(
+                    topic_id=row[0],
+                    query_index=int(row[1]),
+                    round_index=int(row[2]),
+                    publisher=row[3],
+                    features=features,
+                    label=row[-1] == "1",
                 )
-            except ValueError as exc:
-                raise DomainError(f"{where}: {exc}") from None
+            )
+        except ValueError as exc:
+            raise DomainError(f"{where}: {exc}") from None
     return out

@@ -1,4 +1,4 @@
-"""Stopword list handling.
+"""Stopword list handling, and the UTF-8 text reader the file loaders share.
 
 A compact built-in English list ships as the default; competitions that
 need a specific list (e.g. a full NLTK export) can load one from a plain
@@ -7,7 +7,7 @@ one-term-per-line file.
 
 from __future__ import annotations
 
-from pathlib import Path
+import io
 
 from .numeric import DomainError
 
@@ -25,14 +25,22 @@ DEFAULT_STOPWORDS = frozenset(
 )
 
 
+def read_utf8(path, what: str) -> io.StringIO:
+    """A UTF-8 text file's content, its lines split as ``open(path, newline="")`` splits them.
+
+    Bytes that do not decode are a DomainError naming the file, read as ``what``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return io.StringIO(fh.read(), newline="")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {what} is not UTF-8 text ({exc})") from None
+
+
 def load_stopwords(path) -> frozenset[str]:
     """Read a one-term-per-line UTF-8 stopword file (blank lines ignored)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: stopword file is not UTF-8 text ({exc})") from None
     terms = []
-    for line in text.splitlines():
+    for line in read_utf8(path, "stopword file").getvalue().splitlines():
         term = line.strip().lower()
         if term:
             terms.append(term)

@@ -571,6 +571,34 @@ class TestMalformedInputs:
                                    "--stopwords", str(stops)])
         assert json_error(res).startswith(f"{stops}: stopword file is not UTF-8 text (")
 
+    @pytest.mark.parametrize("args, what", [
+        (["report", "win-spread", "--log", "BAD"], "log"),
+        (["predict", "cv", "--instances", "BAD", "--seed", "1"], "instance CSV"),
+    ])
+    def test_input_that_is_not_utf8(self, runner, tmp_path, args, what):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe")
+        res = runner.invoke(main, [str(bad) if a == "BAD" else a for a in args])
+        assert json_error(res).startswith(f"{bad}: {what} is not UTF-8 text (")
+
+    @pytest.mark.parametrize("args", [
+        ["report", "win-spread", "--log", "DIR"],
+        ["features", "extract", "--log", "LOG", "--out", "DIR"],
+        ["features", "extract", "--log", "LOG", "--out", "LOG/x"],
+    ])
+    def test_path_of_the_wrong_kind_is_a_one_line_error(self, runner, tmp_path, args):
+        log = tmp_path / "log.jsonl"
+        log.write_text("", encoding="utf-8")
+        paths = {"DIR": str(tmp_path), "LOG": str(log), "LOG/x": str(log / "x")}
+        res = runner.invoke(main, [paths.get(a, a) for a in args])
+        assert repr(paths[args[-1]]) in json_error(res)
+
+    def test_round_without_documents(self, runner, tmp_path):
+        log = write_json(tmp_path / "log.jsonl", {"topic_id": "T0", "queries": ["q"], "rounds": [
+            {"round_index": 1, "documents": {}, "rankings": [[]]}]})
+        res = runner.invoke(main, ["report", "win-spread", "--log", str(log)])
+        assert json_error(res) == "line 1: topic 'T0' round 1 has no documents"
+
     def test_non_string_document_text(self, runner, tmp_path):
         log = tmp_path / "log.jsonl"
         write_json(log, {"topic_id": "T0", "queries": ["q"], "rounds": [

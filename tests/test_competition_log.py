@@ -49,6 +49,13 @@ def tiny_history(topic_id="T0", texts=None, rankings=None, bots=frozenset()):
     )
 
 
+def history_line(round_fields=None, **fields):
+    """A valid one-round, one-query history as a log line, with fields replaced."""
+    rnd = {"round_index": 1, "documents": {"a": {"text": "x", "is_bot": False}},
+           "rankings": [["a"]], **(round_fields or {})}
+    return json.dumps({"topic_id": "T", "queries": ["q"], "rounds": [rnd], **fields})
+
+
 class TestPersistence:
     def test_empty_file_gives_empty_log(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -144,6 +151,8 @@ class TestPersistence:
         ("round_index", 1.9, "round_index 1.9 is not an integer"),
         ("round_index", True, "round_index True is not an integer"),
         ("round_index", "1", "round_index '1' is not an integer"),
+        ("rankings", ["a"], "round 1 query 0 ranking is not a list"),
+        ("rankings", [{"a": 1}], "round 1 query 0 ranking is not a list"),
     ])
     def test_log_field_types_are_not_coerced(self, tmp_path, field, value, message):
         rnd = {
@@ -168,6 +177,15 @@ class TestPersistence:
             "[1, 2]",
             json.dumps({"topic_id": "T", "queries": ["q"],
                         "rounds": [{"round_index": 1, "documents": [], "rankings": []}]}),
+            # fields of the wrong JSON type, and a round with no documents
+            history_line(topic_id=None),
+            history_line(topic_id=5),
+            history_line({"rankings": [["a"], ["a"]]}, queries="ab"),
+            history_line(queries={"q": 1}),
+            history_line(rounds={}),
+            json.dumps({"_meta": 5}),
+            json.dumps({"_meta": [1]}),
+            history_line({"documents": {}, "rankings": [[]]}),
         ],
     )
     def test_non_object_lines_are_format_errors(self, tmp_path, line):
