@@ -3,10 +3,10 @@
 For a deviating player, each query is priced by the cheapest emphasis on
 the increasing branch that reaches the opponents' top score (the branch
 inverse).  A deviation plan picks, per query, one of: stay at zero, match
-the top score exactly (tie), or beat it strictly (solo).  Solo wins need
-an arbitrarily small margin above the cost, so a plan containing one is
-feasible only with strict budget slack; tie-only plans may spend the whole
-budget.  Playing past the peak is never useful: for equal score the
+the top score exactly (tie), or beat it strictly (solo).  A solo needs
+an arbitrarily small margin above its cost unless f(0) already beats the
+top, so a plan with such a solo is feasible only with strict budget slack;
+other plans may spend the whole budget.  Playing past the peak is never useful: for equal score the
 decreasing branch always costs more emphasis.
 
 Choosing the invest-subset is a 0/1 knapsack whose gains are all 1 or a
@@ -94,6 +94,9 @@ def _thresholds(game: RankingGame, columns, player: int) -> tuple[QueryThreshold
     f = game.f
     one = one_like(columns[0][0])
     zero = 0 * one
+    # the branch inverse reaches the top exactly, unless the top is below
+    # f(0): then the cost is 0 and zero spend already beats it
+    f_zero, f_peak = f(zero), f.max_score
     out = []
     for j, column in enumerate(columns):
         opp_scores = column[:player] + column[player + 1:]
@@ -106,24 +109,16 @@ def _thresholds(game: RankingGame, columns, player: int) -> tuple[QueryThreshold
         top = max(opp_scores)
         tie_count = sum(1 for s in opp_scores if numbers_equal(s, top))
         cost = f.inverse_increasing_geq(top)
-        at_cost = f(cost)
-        beats = number_less(top, at_cost)
-        top_is_peak = numbers_equal(top, f.max_score)
+        beats = number_less(top, f_zero)
         if numbers_equal(cost, zero):
             zv = one if beats else one / (tie_count + 1)
         else:
             zv = zero
         out.append(
-            QueryThreshold(j, cost=cost, top_is_peak=top_is_peak, tie_count=tie_count,
-                           beats_at_cost=beats, zero_value=zv)
+            QueryThreshold(j, cost=cost, top_is_peak=numbers_equal(top, f_peak),
+                           tie_count=tie_count, beats_at_cost=beats, zero_value=zv)
         )
     return tuple(out)
-
-
-def _solo_available(th: QueryThreshold) -> bool:
-    # beating f(peak) is impossible; anything lower can be beaten from the
-    # increasing branch
-    return not th.top_is_peak or th.beats_at_cost
 
 
 def best_response_value(game: RankingGame, profile: StrategyProfile, player: int) -> BestResponse:
@@ -148,79 +143,76 @@ def _respond(game: RankingGame, columns, player: int):
     return ths, _optimize(ths)
 
 
-def _gains(th: QueryThreshold) -> tuple[Fraction, bool, Fraction]:
-    """(open gain, needs margin, closed gain) of investing in one query.
+def _gains(th: QueryThreshold) -> tuple[Fraction, Fraction]:
+    """(open gain, closed gain) of investing in one query.
 
     Gains are measured over the zero-spend value, exactly, in both
     arithmetic modes: every role is worth 1 or a tie share 1/(t+1).
     """
     tie = Fraction(1, th.tie_count + 1)
-    open_role = 1 if _solo_available(th) else tie
+    open_role = tie if th.top_is_peak else 1
     closed_role = 1 if th.beats_at_cost else tie
     base = closed_role if th.zero_value else 0
-    return open_role - base, _solo_available(th) and not th.beats_at_cost, closed_role - base
+    return open_role - base, closed_role - base
 
 
 def _optimize(ths) -> BestResponse:
     """Exact 0/1 knapsack over invest-subsets by a gain-indexed DP.
 
-    An open plan gives every invested query its best role; if one of
-    them is a solo that needs a win margin, the plan is attainable only
-    with budget slack.  A closed plan gives every invested query its
-    margin-free role and may spend the whole budget.  For each prefix of
-    queries a table keeps the least cost per (gain, needs margin); gains
-    have small denominators, so the tables stay small at any m.  The plan
-    is the lowest invest mask (as an integer over query bits) attaining
-    the optimum, in its open roles when it affords them.  Every threshold
-    value is in the scores' mode, so the budget's 1 comes from them.
+    An open plan gives every invested query its best role, a solo
+    wherever the top is below the peak; a solo may need a win margin, so
+    an open plan must leave budget slack.  A closed plan gives every
+    invested query its margin-free role and may spend the whole budget.
+    A query whose solo needs no margin has equal open and closed roles,
+    so no plan is lost.  For each prefix of queries a table keeps the
+    least cost per exact gain; gains have small denominators, so the
+    tables stay small at any m.  The plan is the lowest invest mask (as
+    an integer over query bits) attaining the optimum, in its open roles
+    when it affords them.  Every threshold value is in the scores' mode,
+    so the budget's 1 comes from them.
     """
     one = one_like(ths[0].zero_value)
     zero = 0 * one
     zero_total = sum((t.zero_value for t in ths), zero)
     costs = [t.cost for t in ths]
-    open_gains, margins, closed_gains = zip(*map(_gains, ths))
-    no_margins = (False,) * len(ths)
+    open_gains, closed_gains = zip(*map(_gains, ths))
 
-    def fits(cost, margin):
-        return number_less(cost, one) if margin else cost <= one
-
-    def tables(gains, needs):
-        out = [{(Fraction(0), False): zero}]
-        for c_j, g_j, n_j in zip(costs, gains, needs):
+    def tables(gains):
+        out = [{Fraction(0): zero}]
+        for c_j, g_j in zip(costs, gains):
             table = dict(out[-1])
-            for (g, margin), c in out[-1].items():
-                key, c = (g + g_j, margin or n_j), c + c_j
-                if c <= one and (key not in table or c < table[key]):
-                    table[key] = c
+            for g, c in out[-1].items():
+                g, c = g + g_j, c + c_j
+                if c <= one and (g not in table or c < table[g]):
+                    table[g] = c
             out.append(table)
         return out
 
-    def reachable(table, gain, spent, margin):
-        return any(
-            (gain, mg) in table and fits(spent + table[gain, mg], margin or mg)
-            for mg in (False, True)
-        )
+    def reachable(table, gain, spent, affords):
+        return gain in table and affords(spent + table[gain])
 
-    def lowest_mask(prefix, gains, needs, gain):
+    def lowest_mask(prefix, gains, affords, gain):
         # highest query first: keep it only when the rest cannot reach `gain`
-        if not reachable(prefix[-1], gain, zero, False):
+        if not reachable(prefix[-1], gain, zero, affords):
             return None
-        mask, spent, margin = 0, zero, False
+        mask, spent = 0, zero
         for j in reversed(range(len(ths))):
-            if not reachable(prefix[j], gain, spent, margin):
+            if not reachable(prefix[j], gain, spent, affords):
                 mask |= 1 << j
-                gain, spent, margin = gain - gains[j], spent + costs[j], margin or needs[j]
+                gain, spent = gain - gains[j], spent + costs[j]
         return mask
 
-    opens = tables(open_gains, margins)
-    closeds = tables(closed_gains, no_margins)
-    sup = max(g for g, _ in opens[-1])
-    best = max(g for (g, mg), c in [*opens[-1].items(), *closeds[-1].items()] if fits(c, mg))
+    def with_slack(cost):
+        return number_less(cost, one)
 
-    open_mask = lowest_mask(opens, open_gains, margins, best)
-    closed_mask = lowest_mask(closeds, closed_gains, no_margins, best)
+    opens, closeds = tables(open_gains), tables(closed_gains)
+    sup = max(opens[-1])
+    best = max(max(closeds[-1]), max(g for g, c in opens[-1].items() if with_slack(c)))
+
+    open_mask = lowest_mask(opens, open_gains, with_slack, best)
+    closed_mask = lowest_mask(closeds, closed_gains, lambda cost: cost <= one, best)
     if open_mask is not None and (closed_mask is None or open_mask <= closed_mask):
-        mask, solo = open_mask, _solo_available
+        mask, solo = open_mask, lambda th: not th.top_is_peak
     else:
         mask, solo = closed_mask, lambda th: th.beats_at_cost
     invested = frozenset(j for j in range(len(ths)) if mask >> j & 1)
@@ -250,7 +242,7 @@ def best_response_witness(
 
 def _witness(game, profile, player, ths, br: BestResponse, epsilon) -> WitnessResult:
     """Witness for the plan that `br` solved from `ths` against `profile`."""
-    if epsilon <= 0:
+    if not epsilon > 0:  # refuses NaN too
         raise DomainError("epsilon must be positive")
     one = one_like(unit(game, profile), epsilon)
     zero = 0 * one

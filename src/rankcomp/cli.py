@@ -295,11 +295,9 @@ def game_dynamics(init_path, replay_path, order, seed, max_rounds, epsilon, cycl
         reports = dyn_mod.verify_trace(g, profiles)
         cyc = dyn_mod.detect_cycle(g, profiles, mode=cycle_mode)
         for rep in reports:
-            click.echo(dump_json({"step": rep.index, "mover": rep.mover,
-                                  **dual_view("value", rep.achieved),
-                                  "optimal_value": float(rep.optimal_value),
-                                  "optimal": rep.optimal}))
-        click.echo(dump_json({"cycle": asdict(cyc) if cyc else None, "steps": len(reports)}))
+            _emit({"step": rep.index, "mover": rep.mover, **dual_view("value", rep.achieved),
+                   "optimal_value": float(rep.optimal_value), "optimal": rep.optimal})
+        _emit({"cycle": asdict(cyc) if cyc else None, "steps": len(reports)})
         return
     g, initial = load_profile(init_path)
     trace = dyn_mod.run_dynamics(
@@ -313,11 +311,11 @@ def game_dynamics(init_path, replay_path, order, seed, max_rounds, epsilon, cycl
     )
     for step in trace.steps:
         rows = [v.emphases for v in step.profile.strategies]
-        click.echo(dump_json({"step": step.index, "mover": step.mover, "moved": step.moved,
-                              **dual_view("value", step.value), **dual_view("profile", rows)}))
+        _emit({"step": step.index, "mover": step.mover, "moved": step.moved,
+               **dual_view("value", step.value), **dual_view("profile", rows)})
     cyc = trace.outcome.cycle
-    click.echo(dump_json({"outcome": trace.outcome.kind, "round": trace.outcome.round,
-                          "cycle": asdict(cyc) if cyc else None}))
+    _emit({"outcome": trace.outcome.kind, "round": trace.outcome.round,
+           "cycle": asdict(cyc) if cyc else None})
 
 
 @game.command("oracle")

@@ -126,6 +126,8 @@ def run_dynamics(
     require_valid(game, initial)
     if max_rounds < 1:
         raise DomainError("max_rounds must be >= 1")
+    if not epsilon > 0:  # a fixed point never builds a witness, so check here
+        raise DomainError("epsilon must be positive")
     sched = _schedule(order, game.n, seed)
 
     profile = initial

@@ -8,9 +8,10 @@ deviation beats the player's current utility.  A player's best deviation
 depends only on the multiset of its opponents' strategies, as in
 anonymous games, so the caller stores it as one table over the
 C(S + n - 2, n - 1) opponent multisets of S grid strategies, in
-lexicographic order, built by ``best_deviation`` (the 2^m invest sets of
-:mod:`rankcomp.best_response`) or ``best_grid_deviation`` (the best grid
-strategy, scored by the current utility's share rule ``_share``).
+lexicographic order, built by ``best_deviation`` (its own walk over the
+2^m invest sets, under the budget rule of :mod:`rankcomp.best_response`)
+or ``best_grid_deviation`` (the best grid strategy, scored by the current
+utility's share rule ``_share``).
 ``grid_screen`` then takes a chunk of profiles, ranks each player's
 sorted opponents to a table row with exact int64 combinatorics
 (``multiset_rank``, the inverse of the enumeration's

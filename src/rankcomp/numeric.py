@@ -80,11 +80,9 @@ def parse_number(value) -> Number:
         raise DomainError(f"expected a number, got bool {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
+    if isinstance(value, (float, str)):
+        try:  # nan and inf have no decimal form
+            return Fraction(repr(value) if isinstance(value, float) else value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"cannot parse number from {value!r}") from exc
     raise DomainError(f"cannot parse number from {value!r}")

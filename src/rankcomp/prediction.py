@@ -442,6 +442,8 @@ def cross_validate(
     scores a round with one product.  ``seed`` is only a label: it lands
     in each model's ``meta``, which the report does not show.
     """
+    if not params:
+        raise DomainError("cross-validation needs at least one parameter")
     rounds = sorted({inst.round_index for inst in instances})
     if len(rounds) < 3:
         raise DomainError(f"cross-validation needs >= 3 rounds, got {len(rounds)}")

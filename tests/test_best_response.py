@@ -9,7 +9,7 @@ from rankcomp.best_response import (
     thresholds,
 )
 from rankcomp.game import EmphasisVector, RankingGame, StrategyProfile, utilities
-from rankcomp.numeric import numbers_equal
+from rankcomp.numeric import DomainError, numbers_equal
 
 from conftest import (
     FLOOR_F,
@@ -191,6 +191,11 @@ class TestBestResponseWitness:
         game = RankingGame.tent(1, 3, F(1, 2))
         wit = best_response_witness(game, StrategyProfile([[F(0)] * 3]), 0)
         assert wit.value == 3
+
+    def test_nan_epsilon_is_refused(self):
+        game, profile = two_player([F(1, 5), F(0)])
+        with pytest.raises(DomainError, match="epsilon must be positive"):
+            best_response_witness(game, profile, 0, float("nan"))
 
     def test_epsilon_autoshrinks_to_stay_feasible(self):
         game, profile = two_player([F("0.3"), F("0.4"), F(0)])

@@ -109,6 +109,31 @@ class TestGameCommands:
         res = runner.invoke(main, ["game", "dynamics", "--init", str(start),
                                    "--epsilon", "0", "--max-rounds", "2"])
         assert json_error(res) == "epsilon must be positive"
+        # a fixed point converges without a witness, so epsilon is checked first
+        eq = write_json(tmp_path / "eq.json", {"n": 2, "m": 3, "peak": "9/20", "strategies":
+                                               [["0.45", "0.45", "0.1"]] * 2})
+        args = ["game", "dynamics", "--init", str(eq)]
+        assert json.loads(invoke(runner, args).output.splitlines()[-1])["outcome"] == "converged"
+        assert json_error(runner.invoke(main, args + ["--epsilon", "0"])) == (
+            "epsilon must be positive"
+        )
+
+    def test_dynamics_honours_table_format(self, runner, tmp_path):
+        start = write_json(tmp_path / "s.json", {"n": 2, "m": 3, "peak": "1/2",
+                                                 "strategies": REFERENCE_PROFILES[0]})
+        seq = write_json(tmp_path / "seq.json", {"n": 2, "m": 3, "peak": "1/2",
+                                                 "profiles": REFERENCE_PROFILES})
+        run = ["game", "dynamics", "--init", str(start), "--max-rounds", "2"]
+        replay = ["game", "dynamics", "--replay", str(seq)]
+        for args, starts, ends in (
+            (run, "moved: True\nmover: 1\nprofile:\n", "outcome: budget_exhausted\nround: None\n"),
+            (replay, "mover: 1\noptimal: True\n", "steps: 3\n"),
+        ):
+            records = [json.loads(line) for line in invoke(runner, args).output.splitlines()]
+            table = invoke(runner, ["--format", "table", *args]).output
+            assert "{" not in table
+            assert table.count("value_exact: ") == len(records) - 1
+            assert table.startswith(starts) and table.endswith(ends)
 
     def test_dynamics_replay_reference_sequence(self, runner, tmp_path):
         seq = tmp_path / "seq.json"
@@ -315,6 +340,41 @@ class TestPipelineCommands:
         assert len(out) == 3230
         assert hashlib.sha256(out).hexdigest() == (
             "b18f0df870a6250debddabd8cc3656b6361d8a716c9f7465fca51dbe03bdc83c"
+        )
+
+    def test_solver_library_digest_is_pinned(self):
+        import hashlib
+        import random
+
+        from rankcomp.best_response import best_response_value
+        from rankcomp.equilibria import verify_nash
+
+        from conftest import (
+            FLOOR_F,
+            SKEWED_F,
+            float_instance,
+            non_tent_instance,
+            random_instance,
+            tie_heavy_instance,
+        )
+
+        rng = random.Random(20261019)
+        makers = [
+            lambda: random_instance(rng, 4, 9),
+            lambda: tie_heavy_instance(rng, 4, 9),
+            lambda: non_tent_instance(rng, SKEWED_F, 4, 9),
+            lambda: non_tent_instance(rng, FLOOR_F, 4, 9),
+            lambda: float_instance(rng, 4, 9),
+        ]
+        digest = hashlib.sha256()
+        for make in makers:
+            for _ in range(50):
+                game, profile = make()
+                for i in range(game.n):
+                    digest.update(repr(best_response_value(game, profile, i)).encode())
+                digest.update(repr(verify_nash(game, profile)).encode())
+        assert digest.hexdigest() == (
+            "93c45f113b9a21d968313b26f54f7cd45b560336762708f782dccb13b41f9f2e"
         )
 
     def test_features_rbo(self, runner, tmp_path):
@@ -621,6 +681,17 @@ class TestProfileFiles:
         save_profile(ref, g, construct_equilibrium(g))
         assert out.read_bytes() == ref.read_bytes()
         assert out.read_text(encoding="utf-8") == res.output
+
+    @pytest.mark.parametrize("token, shown", [("NaN", "nan"), ("Infinity", "inf"), ("1e400", "inf")])
+    def test_non_finite_numbers_are_domain_errors(self, runner, tmp_path, token, shown):
+        # JSON reads all three as a float with no exact value
+        rows = f'[[{token}, "0", "0"], ["0", "0", "0"]]'
+        prof, seq = tmp_path / "p.json", tmp_path / "s.json"
+        prof.write_text(f'{{"n": 2, "m": 3, "peak": "1/2", "strategies": {rows}}}', encoding="utf-8")
+        seq.write_text(f'{{"n": 2, "m": 3, "peak": "1/2", "profiles": [{rows}]}}', encoding="utf-8")
+        for args, path in ((["verify", "--profile"], prof), (["dynamics", "--replay"], seq)):
+            res = runner.invoke(main, ["game", *args, str(path)])
+            assert json_error(res) == f"{path}: cannot parse number from {shown}"
 
     def test_replay_with_a_stay(self, runner, tmp_path):
         seq = write_json(tmp_path / "seq.json", {

@@ -266,6 +266,15 @@ class TestRunDynamics:
         )
         assert trace.steps[0].value == 3
 
+    @pytest.mark.parametrize("epsilon", [0, F(-1, 10), float("nan")])
+    def test_epsilon_is_checked_at_entry(self, epsilon):
+        # an equilibrium start converges without ever building a witness
+        g = RankingGame.tent(2, 3, F(9, 20))
+        eq = construct_equilibrium(g)
+        assert run_dynamics(g, eq).outcome.kind == "converged"
+        with pytest.raises(DomainError, match="epsilon must be positive"):
+            run_dynamics(g, eq, epsilon=epsilon)
+
     def test_random_order_requires_seed(self):
         with pytest.raises(DomainError):
             run_dynamics(GAME, S0, order="random")

@@ -10,13 +10,19 @@ from rankcomp import best_response, game as game_module
 from rankcomp.best_response import best_response_value, best_response_witness, thresholds
 from rankcomp.equilibria import verify_nash
 from rankcomp.game import RankingGame, StrategyProfile, induce_ranking, query_scores, utilities
-from rankcomp.numeric import improves, numbers_equal, one_like
+from rankcomp.numeric import DomainError, improves, numbers_equal, one_like, parse_number
 
 
 def test_one_like_is_exact_only_without_floats():
     assert type(one_like()) is Fraction
     assert type(one_like(Fraction(1, 3), 2)) is Fraction
     assert type(one_like(Fraction(1, 3), 0.5)) is float
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), float("1e400")])
+def test_parse_number_refuses_non_finite_floats(value):
+    with pytest.raises(DomainError, match="^cannot parse number from -?(nan|inf)$"):
+        parse_number(value)
 
 
 def test_improves_is_strict_beyond_the_float_tolerance():

@@ -559,6 +559,18 @@ class TestCrossValidate:
         with pytest.raises(DomainError):
             cross_validate(insts)
 
+    def test_empty_parameter_grid_is_refused_before_any_fit(self, monkeypatch):
+        log = synthesize(SynthesisConfig(topics=5, rounds=5), seed=8)
+        insts = normalize_per_query(build_instances(log))
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit before the grid was checked")
+
+        monkeypatch.setattr(prediction_module, "train_lreg_grid", no_fit)
+        monkeypatch.setattr(prediction_module, "train_lreg", no_fit)
+        with pytest.raises(DomainError, match="at least one parameter"):
+            cross_validate(insts, params=())
+
     def test_deterministic(self):
         log = synthesize(SynthesisConfig(topics=5, rounds=5), seed=8)
         insts = normalize_per_query(build_instances(log))
