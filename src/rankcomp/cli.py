@@ -90,6 +90,7 @@ def _render_table(data, indent: str = "") -> str:
     elif isinstance(data, (list, tuple)):
         for item in data:
             if isinstance(item, (dict, list, tuple)):
+                lines.append(f"{indent}-")  # one marker per nested item keeps rows apart
                 lines.append(_render_table(item, indent + "  "))
             else:
                 lines.append(f"{indent}- {item}")

@@ -29,6 +29,7 @@ from .text_features import (
     match_features,
     quality_features,
     rbo,
+    require_persistence,
     tokenize,
 )
 
@@ -315,6 +316,7 @@ def report_win_spread(log: CompetitionLog) -> dict:
 
 def report_ranking_agreement(log: CompetitionLog, persistence: float = 0.9) -> dict[int, float]:
     """Per-round mean pairwise ranking overlap across queries, over topics."""
+    require_persistence(persistence)  # checked even when no topic reaches rbo
     sums: dict[int, float] = {}
     counts: dict[int, int] = {}
     for topic in log.topics:

@@ -169,12 +169,12 @@ def run_dynamics(
 def infer_movers(profiles: Sequence[StrategyProfile]) -> list[Optional[int]]:
     """Mover per step from consecutive profile diffs (None for a stay)."""
     movers: list[Optional[int]] = []
-    for a, b in zip(profiles, profiles[1:]):
+    for t, (a, b) in enumerate(zip(profiles, profiles[1:])):
         if len(a) != len(b):
             raise DomainError("profiles in a trace must keep the same player count")
         diff = [i for i in range(len(a)) if a[i].emphases != b[i].emphases]
         if len(diff) > 1:
-            raise DomainError(f"consecutive profiles differ in {len(diff)} players")
+            raise DomainError(f"step {t}: consecutive profiles differ in {len(diff)} players")
         movers.append(diff[0] if diff else None)
     return movers
 
@@ -218,13 +218,16 @@ def verify_trace(
 
 
 def _movers(game: RankingGame, profiles, movers) -> Sequence[Optional[int]]:
-    """The given movers, checked to be one player or None per step, or the inferred ones."""
+    """The inferred movers, or the given ones if each agrees with them (a given mover may stay)."""
     if movers is None:
         return infer_movers(profiles)
     if len(movers) != len(profiles) - 1:
         raise DomainError(f"{len(movers)} movers for {len(profiles) - 1} steps")
     if any(mv is not None and not 0 <= mv < game.n for mv in movers):
         raise DomainError(f"movers must be players in [0, {game.n}) or None")
+    for t, (given, changed) in enumerate(zip(movers, infer_movers(profiles))):
+        if changed is not None and changed != given:
+            raise DomainError(f"step {t}: player {changed} changed, but the given mover is {given}")
     return movers
 
 

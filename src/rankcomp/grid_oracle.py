@@ -1,9 +1,10 @@
 """Brute-force equilibrium search on a rational grid.
 
 Strategies are restricted to emphases that are multiples of 1/g (still on
-the capped simplex); profiles are enumerated lexicographically, by default
-up to player-permutation symmetry.  :func:`grid_profiles` and both search
-modes share one enumeration, which checks the budget.
+the capped simplex).  Players share f and the budget, so relabeling them
+maps equilibria to equilibria: both search modes screen and confirm the
+non-decreasing index tuples, one per orbit, in lexicographic order;
+without symmetry each confirmed tuple expands to its orbit, in ``product`` order.
 
 Both modes run one pipeline.  They build one table of a player's best
 deviation against each multiset of n - 1 opponent strategies, chunk by
@@ -25,9 +26,8 @@ Since the budget does not see the 2^m invest sets, ``exact`` mode with
 n >= 2 refuses m > ``EXACT_MAX_M`` with a ``CapacityError``.
 
 The enumeration is numpy throughout: a chunk is a range of row numbers,
-unranked to index tuples (:func:`rankcomp.kernels.multiset_unrank` for
-the symmetric order, base-S digits for the product order), so no array
-ever holds one row per profile.
+unranked to index tuples by :func:`rankcomp.kernels.multiset_unrank`, so
+no array ever holds one row per profile.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from itertools import combinations_with_replacement, permutations, product
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -90,9 +91,7 @@ def strategy_count(spec: GridSpec) -> int:
 
 def profile_count(spec: GridSpec) -> int:
     s = strategy_count(spec)
-    if spec.symmetry:
-        return comb(s + spec.n - 1, spec.n)
-    return s**spec.n
+    return comb(s + spec.n - 1, spec.n) if spec.symmetry else s**spec.n
 
 
 def grid_strategies(spec: GridSpec) -> list[tuple[int, ...]]:
@@ -117,35 +116,26 @@ def _exact_strategies(spec: GridSpec, nums):
     return cache(lambda i: EmphasisVector([Fraction(c, spec.g) for c in nums[i]]))
 
 
-def _profiles(vector, index):
-    for idx in index:
-        yield StrategyProfile([vector(i) for i in idx])
+def _index_chunks(count: int, k: int, rows: int | None = None):
+    """Every non-decreasing k-tuple of indices into ``count`` strategies, in int64 chunks.
 
-
-def _index_chunks(count: int, k: int, symmetric: bool, rows: int | None = None):
-    """Every k-tuple of indices into ``count`` strategies, in int64 chunks.
-
-    Symmetric mode yields the non-decreasing tuples in lexicographic
-    (``combinations_with_replacement``) order, otherwise all tuples in
-    ``product`` order.  Each chunk holds at most ``rows`` (by default
-    ``_CHUNK_ROWS``) rows and unranks its own row numbers, so no array
-    grows with the total.
+    The tuples come in ``combinations_with_replacement`` order.  Each chunk
+    holds at most ``rows`` (by default ``_CHUNK_ROWS``) rows and unranks
+    its own row numbers, so no array grows with the total.
     """
     rows = rows or _CHUNK_ROWS
-    total = comb(count + k - 1, k) if symmetric else count**k
+    total = comb(count + k - 1, k)
     for start in range(0, total, rows):
         rank = np.arange(start, min(start + rows, total), dtype=np.int64)
-        if symmetric:
-            yield kernels.multiset_unrank(rank, count, k)
-        else:
-            yield np.stack(np.unravel_index(rank, (count,) * k), axis=1)
+        yield kernels.multiset_unrank(rank, count, k)
 
 
 def grid_profiles(spec: GridSpec):
-    """Enumerate grid StrategyProfiles (respecting the symmetry flag)."""
-    nums = _strategies(spec)
-    index = _index_chunks(len(nums), spec.n, spec.symmetry)
-    yield from _profiles(_exact_strategies(spec, nums), (r for c in index for r in c.tolist()))
+    """Enumerate grid StrategyProfiles: the non-decreasing index tuples, or all without symmetry."""
+    nums, n = _strategies(spec), spec.n
+    index, vector = range(len(nums)), _exact_strategies(spec, nums)
+    tuples = combinations_with_replacement(index, n) if spec.symmetry else product(index, repeat=n)
+    yield from (StrategyProfile(map(vector, idx)) for idx in tuples)
 
 
 def _deviation_table(strat: np.ndarray, n: int, f, mode: _Mode) -> np.ndarray:
@@ -159,14 +149,14 @@ def _deviation_table(strat: np.ndarray, n: int, f, mode: _Mode) -> np.ndarray:
     S = strat.shape[0]
     best = np.empty(comb(S + n - 2, n - 1))
     start = 0
-    for opp in _index_chunks(S, n - 1, True, mode.rows(S)):
+    for opp in _index_chunks(S, n - 1, mode.rows(S)):
         best[start : start + opp.shape[0]] = mode.build(strat, opp, f)
         start += opp.shape[0]
     return best
 
 
 def _screen_survivors(spec: GridSpec, nums, f: SinglePeakFunction, mode: _Mode, jobs: int = 1):
-    """Float-screen every grid profile under f, yield surviving index tuples in order.
+    """Float-screen every non-decreasing index tuple under f, yield the survivors in order.
 
     Profiles are cut into int64 chunks of at most ``_CHUNK_ROWS`` rows and
     screened against ``mode``'s table.  With ``jobs > 1`` the chunks go
@@ -175,7 +165,7 @@ def _screen_survivors(spec: GridSpec, nums, f: SinglePeakFunction, mode: _Mode, 
     """
     strat = np.array(nums) / spec.g
     best = _deviation_table(strat, spec.n, f, mode)
-    chunks = _index_chunks(strat.shape[0], spec.n, spec.symmetry)
+    chunks = _index_chunks(strat.shape[0], spec.n)
     if jobs <= 1:
         for prof in chunks:
             yield from _survivors(strat, prof, f, best)
@@ -260,12 +250,16 @@ def grid_nash_search(
     mode = _MODES[deviation_mode]
     nums = _strategies(spec)
     vector = _exact_strategies(spec, nums)
-    survivors = _profiles(vector, _screen_survivors(spec, nums, game.f, mode, jobs))
+    # the alternatives are every grid strategy, built exactly on first use
+    found = [
+        idx for idx in _screen_survivors(spec, nums, game.f, mode, jobs)
+        if mode.confirm(game, StrategyProfile(map(vector, idx)), map(vector, range(len(nums))))
+    ]
+    if not spec.symmetry:
+        # each confirmed tuple's orbit, in product order
+        found = sorted({p for idx in found for p in permutations(idx)})
     return GridSearchResult(
-        # the alternatives are every grid strategy, built exactly on first use
-        equilibria=tuple(
-            p for p in survivors if mode.confirm(game, p, map(vector, range(len(nums))))
-        ),
+        equilibria=tuple(StrategyProfile(map(vector, idx)) for idx in found),
         profiles_checked=profile_count(spec),
         strategy_count=len(nums),
         mode=deviation_mode,

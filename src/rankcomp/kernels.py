@@ -12,9 +12,9 @@ lexicographic order, built by ``best_deviation`` (its own walk over the
 2^m invest sets, under the budget rule of :mod:`rankcomp.best_response`)
 or ``best_grid_deviation`` (the best grid strategy, scored by the current
 utility's share rule ``_share``).
-``grid_screen`` then takes a chunk of profiles, ranks each player's
-sorted opponents to a table row with exact int64 combinatorics
-(``multiset_rank``, the inverse of the enumeration's
+``grid_screen`` then takes a chunk of non-decreasing profile rows, ranks
+each player's opponents, a sorted multiset, to a table row with exact
+int64 combinatorics (``multiset_rank``, the inverse of the enumeration's
 ``multiset_unrank``), gathers the best deviation and compares it with
 the player's current utility.  It is float arithmetic over quantities
 whose exact values are rationals with small denominators, so a 1e-9
@@ -199,18 +199,17 @@ def grid_screen(strat: np.ndarray, prof: np.ndarray, f, best: np.ndarray) -> np.
     """Flag the profiles where no player has an improving deviation.
 
     strat: (S, m) float emphases of the distinct grid strategies
-    prof:  (P, n) int indices into strat, in any order within a row
+    prof:  (P, n) int indices into strat, each row non-decreasing
     f:     the :class:`~rankcomp.game.SinglePeakFunction` scoring every query
     best:  :func:`best_deviation` or :func:`best_grid_deviation` of every
            (n - 1)-multiset of range(S), in lexicographic order (its row
            for a multiset is its :func:`multiset_rank`)
     Returns (P,) uint8, 1 where the profile survives the screen.
 
-    The verdict does not depend on the order of the players, so each row
-    is sorted first; then every player's opponents form a sorted multiset,
-    ranked to its table row.  The gathered best deviation is compared with
-    the player's current utility, its :func:`_share` of each query summed
-    in query order.
+    In a non-decreasing row every player's opponents form a sorted
+    multiset, ranked to its table row.  The gathered best deviation is
+    compared with the player's current utility, its :func:`_share` of each
+    query summed in query order.
     """
     strat = np.asarray(strat, dtype=np.float64)
     prof = np.asarray(prof, dtype=np.int64)
@@ -221,11 +220,7 @@ def grid_screen(strat: np.ndarray, prof: np.ndarray, f, best: np.ndarray) -> np.
     S = strat.shape[0]
     if best.shape != (math.comb(S + n - 2, n - 1),):
         raise ValueError(f"deviation table of shape {best.shape} does not fit {S} strategies")
-    # sort each row with an insertion network of column minima and maxima
     cols = list(prof.T)
-    for i in range(1, n):
-        for j in range(i, 0, -1):
-            cols[j - 1], cols[j] = np.minimum(cols[j - 1], cols[j]), np.maximum(cols[j - 1], cols[j])
     scores = [[q_scores[col] for col in cols] for q_scores in _query_scores(strat, f)]
     for i in range(n):
         current = np.zeros(P)

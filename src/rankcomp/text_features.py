@@ -241,6 +241,11 @@ def tfidf_cosine(doc_a: TokenizedDocument, doc_b: TokenizedDocument, stats: Corp
 # --- rank similarity -------------------------------------------------------
 
 
+def require_persistence(persistence: float) -> None:
+    if not 0.0 < persistence < 1.0:
+        raise DomainError("persistence must lie strictly between 0 and 1")
+
+
 def rbo(ranking_a: Sequence, ranking_b: Sequence, persistence: float = 0.9) -> float:
     """Extrapolated rank-biased overlap of two duplicate-free rankings.
 
@@ -248,8 +253,7 @@ def rbo(ranking_a: Sequence, ranking_b: Sequence, persistence: float = 0.9) -> f
     persistence parameter in (0, 1).  The two lists may have different
     lengths; the extrapolation assumes the seen overlap ratio continues.
     """
-    if not 0.0 < persistence < 1.0:
-        raise DomainError("persistence must lie strictly between 0 and 1")
+    require_persistence(persistence)
     if len(set(ranking_a)) != len(ranking_a) or len(set(ranking_b)) != len(ranking_b):
         raise DomainError("rankings must be duplicate-free")
     if not ranking_a or not ranking_b:

@@ -377,6 +377,32 @@ class TestPipelineCommands:
             "93c45f113b9a21d968313b26f54f7cd45b560336762708f782dccb13b41f9f2e"
         )
 
+    def test_grid_library_digest_is_pinned(self):
+        # 140 searches, 709 equilibria, 289 of them with distinct strategies
+        # (asymmetric, such as the splits of (2, 2, 4) at peak 1)
+        import hashlib
+        from fractions import Fraction as F
+        from itertools import product
+
+        from rankcomp.game import RankingGame, SinglePeakFunction
+        from rankcomp.grid_oracle import GridSpec, grid_nash_search
+
+        from conftest import FLOOR_F, SKEWED_F
+
+        shapes = [SinglePeakFunction.tent(p) for p in (F(1), F(1, 2), F(1, 3))]
+        cells = [(1, 2, 4), (2, 2, 4), (2, 3, 4), (3, 2, 3), (3, 3, 2), (4, 1, 4), (4, 2, 2)]
+        digest = hashlib.sha256()
+        for f, (n, m, g), mode, symmetry in product(
+            shapes + [SKEWED_F, FLOOR_F], cells, ("exact", "grid"), (True, False)
+        ):
+            spec = GridSpec(g=g, n=n, m=m, peak=f.peak, symmetry=symmetry)
+            jobs = 2 if n == 3 and f is FLOOR_F else 1
+            result = grid_nash_search(RankingGame(n=n, m=m, f=f), spec, mode, jobs=jobs)
+            digest.update(repr(result).encode())
+        assert digest.hexdigest() == (
+            "5ac6a476544f039211c58c2c3118a048ef4c629f77310e2a5f4f63a1480e22ca"
+        )
+
     def test_features_rbo(self, runner, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         a.write_text("[1, 2]", encoding="utf-8")
@@ -394,6 +420,16 @@ class TestPipelineCommands:
         res = invoke(runner, ["report", "rbo", "--log", str(synth_log)])
         data = json.loads(res.output)
         assert set(data["per_round"]) == {str(r) for r in range(1, 7)}
+
+    def test_report_rbo_checks_persistence_without_topics(self, runner, tmp_path):
+        # only rbo checked the range, so a log with no topics printed "persistence": 5.0
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        res = invoke(runner, ["report", "rbo", "--log", str(empty)])
+        assert json.loads(res.output) == {"per_round": {}, "persistence": 0.9}
+        for p in ("5", "0", "1"):
+            res = runner.invoke(main, ["report", "rbo", "--log", str(empty), "--p", p])
+            assert json_error(res) == "persistence must lie strictly between 0 and 1"
 
     def test_report_trajectories(self, runner, synth_log):
         res = invoke(runner, ["report", "trajectories", "--log", str(synth_log)])
@@ -867,13 +903,25 @@ class TestFlags:
         data = json.loads(invoke(runner, args).output)
         table = invoke(runner, ["--format", "table"] + args).output
         assert "(" not in table
-        assert "folds:\n    acc: " in table
+        assert "folds:\n  -\n    acc: " in table
         assert "params:\n  - 1.0\n  - 10.0\n" in table
         assert f"mean_acc: {data['mean_acc']}\n" in table
         table = invoke(runner, ["--format", "table", "report", "win-spread",
                                 "--log", str(log)]).output
         assert table.startswith("observations: ")
-        assert "rows:\n    doc_percent: " in table
+        assert "rows:\n  -\n    doc_percent: " in table
+
+    def test_table_format_marks_each_row_of_a_profile(self, runner, tmp_path):
+        # a list of lists used to print as one run of "- x" lines at one indent
+        start = write_json(tmp_path / "s.json", {"n": 2, "m": 3, "peak": "1/2",
+                                                 "strategies": REFERENCE_PROFILES[0]})
+        table = invoke(runner, ["--format", "table", "game", "dynamics", "--init", str(start),
+                                "--max-rounds", "1"]).output
+        assert ("profile_exact:\n  -\n    - 3/10\n    - 2/5\n    - 0\n"
+                "  -\n    - 301/1000\n    - 401/1000\n    - 1/1000\n") in table
+        table = invoke(runner, ["--format", "table", "game", "oracle", "--n", "2", "--m", "2",
+                                "--peak", "1/2", "--grid", "2"]).output
+        assert "equilibria:\n  -\n    -\n      - 0.5\n      - 0.5\n    -\n      - 0.5\n" in table
 
     def test_random_order_is_seeded(self, runner, tmp_path, monkeypatch):
         monkeypatch.delenv("RANKCOMP_SEED", raising=False)

@@ -70,6 +70,24 @@ class TestVerifyTrace:
         with pytest.raises(DomainError, match="movers"):
             check(GAME, SEQUENCE, movers)
 
+    @pytest.mark.parametrize("check", [verify_trace, detect_cycle])
+    @pytest.mark.parametrize("profiles, movers, error", [
+        (SEQUENCE, [0, 0, 1], "step 0: player 1 changed, but the given mover is 0"),
+        (SEQUENCE, [1, 0, None], "step 2: player 1 changed, but the given mover is None"),
+        ([S0, S2], [1], "step 0: consecutive profiles differ in 2 players"),
+    ], ids=["other_player", "none_for_a_move", "two_players"])
+    def test_given_movers_must_agree_with_the_profiles(self, check, profiles, movers, error):
+        # these used to be accepted: verify_trace then judged a player who
+        # never moved, or a "stay" of a changed profile
+        with pytest.raises(DomainError, match=error):
+            check(GAME, profiles, movers)
+
+    def test_a_given_mover_may_stay(self):
+        # a scheduled player who keeps its strategy, as run_dynamics records
+        reports = verify_trace(GAME, [S0, S0, S1], [0, 1])
+        assert [r.mover for r in reports] == [0, 1]
+        assert detect_cycle(GAME, [S0, S0, S1], [0, 1]) is None
+
 
 class TestDetectCycle:
     def test_reference_sequence_symmetric_cycle(self):

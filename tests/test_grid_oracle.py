@@ -51,14 +51,10 @@ class TestCounting:
         monkeypatch.setattr(grid_oracle, "_CHUNK_ROWS", 7)
         for k in range(1, 5):
             for count in range(1, 7):
-                for symmetric, reference in (
-                    (True, combinations_with_replacement(range(count), k)),
-                    (False, product(range(count), repeat=k)),
-                ):
-                    chunks = list(grid_oracle._index_chunks(count, k, symmetric))
-                    assert all(c.dtype == np.int64 and 0 < len(c) <= 7 for c in chunks)
-                    rows = [tuple(r) for c in chunks for r in c.tolist()]
-                    assert rows == list(reference), (k, count, symmetric)
+                chunks = list(grid_oracle._index_chunks(count, k))
+                assert all(c.dtype == np.int64 and 0 < len(c) <= 7 for c in chunks)
+                rows = [tuple(r) for c in chunks for r in c.tolist()]
+                assert rows == list(combinations_with_replacement(range(count), k)), (k, count)
 
     def test_strategies_respect_simplex(self):
         for nums in grid_strategies(GridSpec(g=4, n=1, m=3, peak=F(1, 2))):
@@ -240,14 +236,14 @@ class TestKernelBackends:
         sums = strat.sum(axis=1)
         strat[sums > 6] *= (6.0 / sums[sums > 6])[:, None]
         strat /= 6.0
-        prof = rng.integers(0, S, size=(P, n))
+        prof = np.sort(rng.integers(0, S, size=(P, n)), axis=1)
         return strat, prof
 
     def test_screen_equals_role_combination_oracle(self, monkeypatch):
         # the 2^m invest-set table decides exactly as the 3^m role walk, for
         # the tent at every peak kind and for non-tent shapes; random rows
-        # and product-order rows list the opponents unsorted, and at 64 rows
-        # a chunk the larger tables are built across several chunks
+        # are sorted, as the enumeration's are, and at 64 rows a chunk the
+        # larger tables are built across several chunks
         monkeypatch.setattr(grid_oracle, "_CHUNK_ROWS", 64)
         tents = [SinglePeakFunction.tent(peak) for peak in (0.0, 1.0, 1 / 3, 0.5, 0.8)]
         kept = total = chunked_tables = 0
@@ -260,9 +256,9 @@ class TestKernelBackends:
                         g = int(rng.integers(1, 4))  # tie-heavy coarse grid
                         nums = grid_strategies(GridSpec(g=g, n=n, m=m, peak=F(1, 2)))
                         coarse = np.array(nums, dtype=np.float64) / g
-                        coarse_prof = rng.integers(0, len(nums), size=(40, n))
+                        coarse_prof = np.sort(rng.integers(0, len(nums), size=(40, n)), axis=1)
                         few = coarse[rng.permutation(len(nums))[:3]]
-                        ordered = np.concatenate(list(grid_oracle._index_chunks(len(few), n, False)))
+                        ordered = np.concatenate(list(grid_oracle._index_chunks(len(few), n)))
                         for strat, prof in (fine, (coarse, coarse_prof), (few, ordered)):
                             best = grid_oracle._deviation_table(strat, n, f, EXACT)
                             chunked_tables += len(best) > 64
