@@ -4,7 +4,8 @@ Strategies are restricted to emphases that are multiples of 1/g (still on
 the capped simplex).  Players share f and the budget, so relabeling them
 maps equilibria to equilibria: both search modes screen and confirm the
 non-decreasing index tuples, one per orbit, in lexicographic order;
-without symmetry each confirmed tuple expands to its orbit, in ``product`` order.
+without symmetry each confirmed tuple expands to its distinct orderings,
+all returned in ``product`` order.
 
 Both modes run one pipeline.  They build one table of a player's best
 deviation against each multiset of n - 1 opponent strategies, chunk by
@@ -36,7 +37,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, product
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -91,7 +92,9 @@ def strategy_count(spec: GridSpec) -> int:
 
 def profile_count(spec: GridSpec) -> int:
     s = strategy_count(spec)
-    return comb(s + spec.n - 1, spec.n) if spec.symmetry else s**spec.n
+    if spec.symmetry:
+        return comb(s + spec.n - 1, spec.n)
+    return s**spec.n
 
 
 def grid_strategies(spec: GridSpec) -> list[tuple[int, ...]]:
@@ -132,10 +135,24 @@ def _index_chunks(count: int, k: int, rows: int | None = None):
 
 def grid_profiles(spec: GridSpec):
     """Enumerate grid StrategyProfiles: the non-decreasing index tuples, or all without symmetry."""
-    nums, n = _strategies(spec), spec.n
-    index, vector = range(len(nums)), _exact_strategies(spec, nums)
-    tuples = combinations_with_replacement(index, n) if spec.symmetry else product(index, repeat=n)
+    nums = _strategies(spec)
+    vector = _exact_strategies(spec, nums)
+    index = range(len(nums))
+    if spec.symmetry:
+        tuples = combinations_with_replacement(index, spec.n)
+    else:
+        tuples = product(index, repeat=spec.n)
     yield from (StrategyProfile(map(vector, idx)) for idx in tuples)
+
+
+def _orbit(idx: tuple[int, ...]):
+    """The distinct orderings of the non-decreasing ``idx``, each once, in ``product`` order."""
+    if not idx:
+        yield ()
+    for i, v in enumerate(idx):
+        if i == 0 or idx[i - 1] != v:  # each distinct value once, so work follows the output
+            for rest in _orbit(idx[:i] + idx[i + 1 :]):
+                yield (v, *rest)
 
 
 def _deviation_table(strat: np.ndarray, n: int, f, mode: _Mode) -> np.ndarray:
@@ -256,8 +273,8 @@ def grid_nash_search(
         if mode.confirm(game, StrategyProfile(map(vector, idx)), map(vector, range(len(nums))))
     ]
     if not spec.symmetry:
-        # each confirmed tuple's orbit, in product order
-        found = sorted({p for idx in found for p in permutations(idx)})
+        # orbits are disjoint, so their union sorts into product order without repeats
+        found = sorted(p for idx in found for p in _orbit(idx))
     return GridSearchResult(
         equilibria=tuple(StrategyProfile(map(vector, idx)) for idx in found),
         profiles_checked=profile_count(spec),

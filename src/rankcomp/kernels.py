@@ -220,6 +220,8 @@ def grid_screen(strat: np.ndarray, prof: np.ndarray, f, best: np.ndarray) -> np.
     S = strat.shape[0]
     if best.shape != (math.comb(S + n - 2, n - 1),):
         raise ValueError(f"deviation table of shape {best.shape} does not fit {S} strategies")
+    if (np.diff(prof, axis=1) < 0).any():
+        raise ValueError("profile rows must be non-decreasing")
     cols = list(prof.T)
     scores = [[q_scores[col] for col in cols] for q_scores in _query_scores(strat, f)]
     for i in range(n):

@@ -1,5 +1,6 @@
+import time
 from fractions import Fraction as F
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ class TestCounting:
                 assert all(c.dtype == np.int64 and 0 < len(c) <= 7 for c in chunks)
                 rows = [tuple(r) for c in chunks for r in c.tolist()]
                 assert rows == list(combinations_with_replacement(range(count), k)), (k, count)
+
+    def test_orbit_yields_each_distinct_ordering_once_in_product_order(self):
+        for k in range(5):
+            for idx in combinations_with_replacement(range(3), k):
+                assert list(grid_oracle._orbit(idx)) == sorted(set(permutations(idx))), idx
 
     def test_strategies_respect_simplex(self):
         for nums in grid_strategies(GridSpec(g=4, n=1, m=3, peak=F(1, 2))):
@@ -115,6 +121,16 @@ class TestExactSearch:
         exact_set = {tuple(v.emphases for v in p.strategies) for p in exact.equilibria}
         grid_set = {tuple(v.emphases for v in p.strategies) for p in grid.equilibria}
         assert exact_set <= grid_set
+
+    def test_no_symmetry_expansion_scales_with_the_orbits_not_n_factorial(self):
+        # the all-ones profile has a single ordering among 12! permutations;
+        # expanding it through all of them takes near a minute, its orbit milliseconds
+        game = RankingGame.tent(12, 1, F(1))
+        start = time.perf_counter()
+        res = grid_nash_search(game, GridSpec(g=1, n=12, m=1, peak=F(1), symmetry=False))
+        assert time.perf_counter() - start < 5
+        assert res.profiles_checked == 2**12
+        assert [p.strategies for p in res.equilibria] == [StrategyProfile([[F(1)]] * 12).strategies]
 
     def test_exact_mode_equals_brute_force_on_non_tent_functions(self):
         # the screen scores through f, so it keeps every profile that exact
@@ -269,6 +285,14 @@ class TestKernelBackends:
                             total += len(mask)
         assert 0 < kept < total
         assert chunked_tables
+
+    def test_screen_refuses_an_unsorted_row(self):
+        strat = np.array([[0.0], [0.5], [1.0]])
+        f = SinglePeakFunction.tent(0.5)
+        best = grid_oracle._deviation_table(strat, 2, f, EXACT)
+        kernels.grid_screen(strat, np.array([[0, 2]]), f, best)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            kernels.grid_screen(strat, np.array([[0, 2], [2, 0]]), f, best)
 
     def test_screen_agrees_with_exact_verification(self):
         # float screen must keep every true equilibrium of small instances
