@@ -131,8 +131,9 @@ def _peak_assignment_profile(game: RankingGame) -> StrategyProfile:
         # singleton queries must each receive one external remainder: the
         # owner of each singleton covers the next singleton cyclically
         # (never its own); within the existence region there are at most n
-        # singletons, so coverage always resolves
-        singles = [j for j in range(m) if counts[j] == 1]
+        # singletons, so coverage always resolves; a lone player has no one
+        # to cover its queries and takes its first unpinned one
+        singles = [j for j in range(m) if counts[j] == 1] if n > 1 else []
         owner_of = {j: next(i for i in range(n) if j in owned[i]) for j in singles}
         assigned: set[int] = set()
         for t, j in enumerate(singles):

@@ -10,8 +10,8 @@ anonymous games, so the caller stores it as one table over the
 C(S + n - 2, n - 1) opponent multisets of S grid strategies, in
 lexicographic order, built by ``best_deviation`` (its own walk over the
 2^m invest sets, under the budget rule of :mod:`rankcomp.best_response`)
-or ``best_grid_deviation`` (the best grid strategy, scored by the current
-utility's share rule ``_share``).
+or ``best_grid_deviation`` (the best grid strategy).  One share rule,
+``_shares``, shares out a query among all players, in tables and screen.
 ``grid_screen`` then takes a chunk of non-decreasing profile rows, ranks
 each player's opponents, a sorted multiset, to a table row with exact
 int64 combinatorics (``multiset_rank``, the inverse of the enumeration's
@@ -101,24 +101,19 @@ def _query_scores(strat: np.ndarray, f) -> np.ndarray:
     return np.ascontiguousarray(np.interp(strat, xs, ys).T)
 
 
-def _share(own: np.ndarray, opp: list) -> np.ndarray:
-    """A player's share of one query: 1 alone on top, 1/(k + 1) tied with k opponents, 0 below.
+def _shares(scores: list) -> list:
+    """Every player's share of one query: the players on top split one unit.
 
-    own: the player's scores; opp: the n - 1 opponents' scores, each
-    broadcastable against own; scores within ``_EQ_TOL`` of the top tie.
+    scores: the n players' scores, arrays that broadcast together.  A
+    player within ``_EQ_TOL`` of the top, tied with k others, earns
+    1/(k + 1); a player below earns 0.
     """
-    n = len(opp) + 1
-    top = opp[0]
-    for o in opp[1:]:
-        top = np.maximum(top, o)
-    cut = top - _EQ_TOL
-    # the share by code: alone on top 0, tied with k opponents k, below n
-    code_type = np.min_scalar_type(-n - 1)  # small signed ints hold every code
-    ties = sum((o > cut).astype(code_type) for o in opp)
-    reach = (own > cut).astype(code_type)
-    near = (own <= top + _EQ_TOL).astype(code_type)
-    share = np.append(1.0 / np.arange(1, n + 1), 0.0)
-    return share[n - reach * (n - ties * near)]
+    top = scores[0]
+    for s in scores[1:]:
+        top = np.maximum(top, s)
+    on_top = [s > top - _EQ_TOL for s in scores]
+    ties = sum(on_top)
+    return [t / ties for t in on_top]
 
 
 def best_grid_deviation(strat: np.ndarray, opp: np.ndarray, f) -> np.ndarray:
@@ -129,13 +124,13 @@ def best_grid_deviation(strat: np.ndarray, opp: np.ndarray, f) -> np.ndarray:
     f:     the :class:`~rankcomp.game.SinglePeakFunction` scoring every query
     Returns (T,) float64.
 
-    Each strategy's :func:`_share` of every query is summed in query order,
-    bitwise as :func:`grid_screen` sums a current utility.  The temporaries
-    are (T, S) arrays, so callers bound T·S.
+    Each strategy's :func:`_shares` entry of every query is summed in query
+    order, bitwise as :func:`grid_screen` sums a current utility.  The
+    temporaries are (T, S) arrays, so callers bound T·S.
     """
     value = np.zeros((opp.shape[0], strat.shape[0]))
     for q_scores in _query_scores(np.asarray(strat, dtype=np.float64), f):
-        value += _share(q_scores, [q_scores[col][:, None] for col in opp.T])
+        value += _shares([q_scores, *(q_scores[col][:, None] for col in opp.T)])[0]
     return value.max(axis=1)
 
 
@@ -166,12 +161,12 @@ def best_deviation(strat: np.ndarray, opp: np.ndarray, f) -> np.ndarray:
     scores = _query_scores(np.asarray(strat, dtype=np.float64), f)[:, opp]  # (m, T, n-1)
     m, T, _ = scores.shape
     top = scores.max(axis=2)  # (m, T)
-    tie_share = 1.0 / ((scores > top[:, :, None] - _EQ_TOL).sum(axis=2) + 1)
-    # per-query rows, (m, T): the cost to reach the top opponent, the
-    # value of skipping and of the better role once paid for
+    # per-query rows, (m, T): the cost to reach the top opponent, and the
+    # shares of zero spend, of a tie and of the better role once paid for,
+    # with f(0), the top and f(peak) in the player's place
     costs = np.interp(top, ys[:rise], xs[:rise])
-    zero_val = np.where(top < f0 - _EQ_TOL, 1.0, np.where(top <= f0 + _EQ_TOL, tie_share, 0.0))
-    open_share = np.where(top < f_peak - _EQ_TOL, 1.0, tie_share)
+    rest = list(np.moveaxis(scores, 2, 0))  # each opponent's (m, T) scores
+    zero_val, tie_share, open_share = (_shares([own, *rest])[0] for own in (f0, top, f_peak))
 
     best = np.zeros(T)
     for invest in range(1 << m):
@@ -208,8 +203,8 @@ def grid_screen(strat: np.ndarray, prof: np.ndarray, f, best: np.ndarray) -> np.
 
     In a non-decreasing row every player's opponents form a sorted
     multiset, ranked to its table row.  The gathered best deviation is
-    compared with the player's current utility, its :func:`_share` of each
-    query summed in query order.
+    compared with the player's current utility: each query is shared out
+    once among all players by :func:`_shares`, summed in query order.
     """
     strat = np.asarray(strat, dtype=np.float64)
     prof = np.asarray(prof, dtype=np.int64)
@@ -223,10 +218,9 @@ def grid_screen(strat: np.ndarray, prof: np.ndarray, f, best: np.ndarray) -> np.
     if (np.diff(prof, axis=1) < 0).any():
         raise ValueError("profile rows must be non-decreasing")
     cols = list(prof.T)
-    scores = [[q_scores[col] for col in cols] for q_scores in _query_scores(strat, f)]
+    current = np.zeros((n, P))
+    for q_scores in _query_scores(strat, f):
+        current += _shares([q_scores[col] for col in cols])
     for i in range(n):
-        current = np.zeros(P)
-        for col in scores:
-            current += _share(col[i], col[:i] + col[i + 1 :])
-        ok &= best[multiset_rank(cols[:i] + cols[i + 1 :], S)] <= current + _MARGIN
+        ok &= best[multiset_rank(cols[:i] + cols[i + 1 :], S)] <= current[i] + _MARGIN
     return ok.astype(np.uint8)

@@ -456,23 +456,20 @@ def cross_validate(
             np.concatenate([layouts[r][1] for r in fit_rounds]),
         )
 
-    # sorted fit rounds -> one model per parameter, or None without both
-    # classes; an entry serves exactly the pairs (test, val) and (val, test)
-    inner_models: dict[tuple[int, ...], Optional[tuple[LinearModel, ...]]] = {}
+    @cache
+    def inner_models(fit_rounds: tuple[int, ...]) -> Optional[tuple[LinearModel, ...]]:
+        # one model per parameter, or None without both classes; sorted fit
+        # rounds serve exactly the pairs (test, val) and (val, test)
+        X, y = training_set(fit_rounds)
+        both = bool(np.any(y == 1.0) and np.any(y == 0.0))
+        return train_lreg_grid(X, y, params, seed=seed) if both else None
 
     folds = []
     for test_round in rounds:
         train_rounds = [r for r in rounds if r != test_round]
         accs_per_param: list[list[float]] = [[] for _ in params]
         for val_round in train_rounds:
-            fit_rounds = tuple(r for r in train_rounds if r != val_round)
-            if fit_rounds in inner_models:
-                models = inner_models.pop(fit_rounds)
-            else:
-                X, y = training_set(fit_rounds)
-                both = bool(np.any(y == 1.0) and np.any(y == 0.0))
-                models = train_lreg_grid(X, y, params, seed=seed) if both else None
-                inner_models[fit_rounds] = models
+            models = inner_models(tuple(r for r in train_rounds if r != val_round))
             if models is None:
                 continue
             for accs, model in zip(accs_per_param, models):

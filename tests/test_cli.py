@@ -577,6 +577,14 @@ def json_error(res):
     return json.loads(lines[0])["error"]
 
 
+def topic_line(topic_id="T", queries=("q",), rounds=(("a",),), rankings=None):
+    """One topic as a log line: a round per publisher tuple, each ranking them on every query."""
+    return json.dumps({"topic_id": topic_id, "queries": list(queries), "rounds": [
+        {"round_index": r, "documents": {p: {"text": "x", "is_bot": False} for p in pubs},
+         "rankings": [list(pubs)] * len(queries) if rankings is None else rankings}
+        for r, pubs in enumerate(rounds, start=1)]})
+
+
 class TestMalformedInputs:
     @pytest.mark.parametrize(
         "args",
@@ -702,6 +710,33 @@ class TestMalformedInputs:
              "rankings": [["a"]]}]})
         res = runner.invoke(main, ["report", "trajectories", "--log", str(log)])
         assert json_error(res) == "line 1: topic 'T0' round 1 document 'a' text is not a string"
+
+    @pytest.mark.parametrize("lines, message", [
+        ([topic_line("T0"), topic_line(queries=())], "line 2: topic 'T' has no queries"),
+        ([topic_line(rounds=(("a", "b"), ("a", "c")))],
+         "line 1: topic 'T' round 2 publisher set changed"),
+        ([topic_line("T0"), topic_line(rankings=[["a"], ["a"]])],
+         "line 2: topic 'T' round 1 has 2 rankings for 1 queries"),
+        ([topic_line("T0"), "{bad"], "line 2: invalid JSON ("),
+        ([topic_line("T0"), json.dumps({"_meta": {}})], "line 2: _meta only allowed on line 1"),
+        ([topic_line(), topic_line("T0"), topic_line()], "line 3: duplicate topic 'T'"),
+        ([topic_line("T0"), topic_line(queries=("q", "r"))],
+         "win-spread report needs a uniform query count"),
+    ], ids=["no_queries", "publishers_changed", "ranking_count", "invalid_json",
+            "late_meta", "duplicate_topic", "uneven_queries"])
+    def test_log_refusal_is_a_one_line_error_naming_the_line(self, runner, tmp_path, lines,
+                                                             message):
+        log = tmp_path / "log.jsonl"
+        log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        res = runner.invoke(main, ["report", "win-spread", "--log", str(log)])
+        assert json_error(res).startswith(message)
+
+    def test_best_response_refuses_a_player_outside_the_game(self, runner, tmp_path):
+        prof = write_json(tmp_path / "p.json", {"n": 2, "m": 3, "peak": 0.5, "strategies":
+                                                [["0", "0", "0"], ["0.4", "0.5", "0.1"]]})
+        res = runner.invoke(main, ["game", "best-response", "--profile", str(prof),
+                                   "--player", "2"])
+        assert json_error(res) == "player 2 outside [0, 2)"
 
 
 class TestProfileFiles:

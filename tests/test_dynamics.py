@@ -54,6 +54,15 @@ class TestVerifyTrace:
     def test_infer_movers(self):
         assert infer_movers(SEQUENCE) == [1, 0, 1]
 
+    def test_a_trace_needs_two_profiles(self):
+        with pytest.raises(DomainError, match="need at least two profiles"):
+            verify_trace(GAME, [S0])
+
+    def test_infer_movers_refuses_a_change_in_player_count(self):
+        lone = StrategyProfile([[F("0.3"), F("0.4"), F(0)]])
+        with pytest.raises(DomainError, match="must keep the same player count"):
+            infer_movers([S0, lone])
+
     def test_next_mover_follows_the_most_recent_successor(self):
         # player 0 was followed by 1, then by 2: the rotation continues with 2
         assert _next_mover([0, 1, 0, 2, 0], 3) == 2
@@ -292,6 +301,14 @@ class TestRunDynamics:
         assert run_dynamics(g, eq).outcome.kind == "converged"
         with pytest.raises(DomainError, match="epsilon must be positive"):
             run_dynamics(g, eq, epsilon=epsilon)
+
+    def test_unknown_order_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown order 'backwards'"):
+            run_dynamics(GAME, S0, order="backwards")
+
+    def test_max_rounds_below_one_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="max_rounds must be >= 1"):
+            run_dynamics(GAME, S0, max_rounds=0)
 
     def test_random_order_requires_seed(self):
         with pytest.raises(DomainError):

@@ -182,6 +182,15 @@ class TestParameterSweep:
             game = RankingGame.tent(n, m, peak)
             assert not verify_nash(game, candidate_profile(game)).is_nash
 
+    def test_a_lone_player_gets_a_candidate_that_verifies(self):
+        for m in range(1, 6):
+            for peak in (F(k, 10) for k in range(11)):
+                game = RankingGame.tent(1, m, peak)
+                assert verify_nash(game, candidate_profile(game)).is_nash, (m, peak)
+        # the leftover goes to the first unpinned query, not onto a pin
+        (lone,) = candidate_profile(RankingGame.tent(1, 4, F(2, 5))).strategies
+        assert lone.emphases == (F(2, 5), F(2, 5), F(1, 5), 0)
+
     def test_verification_matches_existence_at_large_m(self):
         for n, m in [(2, 40), (3, 24)]:
             threshold = existence_threshold(n, m)

@@ -17,7 +17,7 @@ from rankcomp.grid_oracle import (
     profile_count,
     strategy_count,
 )
-from rankcomp.numeric import CapacityError, improves
+from rankcomp.numeric import CapacityError, DomainError, improves
 from conftest import FLOOR_F, SKEWED_F
 from screen_oracle import screen_oracle
 
@@ -65,6 +65,29 @@ class TestCounting:
     def test_strategies_respect_simplex(self):
         for nums in grid_strategies(GridSpec(g=4, n=1, m=3, peak=F(1, 2))):
             assert sum(nums) <= 4
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("fields, message", [
+        ({"g": 0}, "grid resolution must be >= 1"),
+        ({"n": 0}, "need n >= 1 and m >= 1"),
+        ({"m": 0}, "need n >= 1 and m >= 1"),
+        ({"peak": F(3, 2)}, "peak 3/2 outside"),
+        ({"peak": F(-1, 2)}, "peak -1/2 outside"),
+    ])
+    def test_spec_refuses_an_empty_grid_or_a_peak_outside_the_unit(self, fields, message):
+        with pytest.raises(DomainError, match=message):
+            GridSpec(**{"g": 2, "n": 2, "m": 3, "peak": F(1, 2), **fields})
+
+    @pytest.mark.parametrize("spec, mode, message", [
+        (GridSpec(g=2, n=3, m=3, peak=F(1, 2)), "exact", "disagree on n or m"),
+        (GridSpec(g=2, n=2, m=2, peak=F(1, 2)), "exact", "disagree on n or m"),
+        (GridSpec(g=2, n=2, m=3, peak=F(1, 3)), "exact", "disagree on the peak"),
+        (GridSpec(g=2, n=2, m=3, peak=F(1, 2)), "fancy", "unknown deviation mode 'fancy'"),
+    ])
+    def test_search_refuses_a_spec_or_mode_that_does_not_fit(self, spec, mode, message):
+        with pytest.raises(DomainError, match=message):
+            grid_nash_search(RankingGame.tent(2, 3, F(1, 2)), spec, mode)
 
 
 class TestExactSearch:
@@ -285,6 +308,38 @@ class TestKernelBackends:
                             total += len(mask)
         assert 0 < kept < total
         assert chunked_tables
+
+    def test_shares_sum_to_the_exact_utilities(self):
+        # each profile draws its players from three grid strategies, so
+        # most queries end in ties; FLOOR_F ties zero emphasis with tails,
+        # and on grids of 3, 5 or 6 steps some scores equal on f's two
+        # branches differ in the last float bit, so ties need the tolerance
+        rng = np.random.default_rng(11)
+        tents = [SinglePeakFunction.tent(peak) for peak in (F(0), F(1, 3), F(1, 2), F(2, 5), F(1))]
+        tied = 0
+        for n in range(2, 5):
+            for m in range(1, 5):
+                for f in (*tents, SKEWED_F, FLOOR_F):
+                    game = RankingGame(n=n, m=m, f=f)
+                    g = int(rng.choice([2, 3, 5, 6]))
+                    nums = grid_strategies(GridSpec(g=g, n=n, m=m, peak=f.peak))
+                    scores = kernels._query_scores(np.array(nums, dtype=np.float64) / g, f)
+                    pool = rng.choice(len(nums), size=min(3, len(nums)), replace=False)
+                    for idx in rng.choice(pool, size=(10, n)):
+                        shares = [kernels._shares([q[i] for i in idx]) for q in scores]
+                        tied += sum(0 < max(row) < 1 for row in shares)
+                        got = [sum(row[i] for row in shares) for i in range(n)]
+                        profile = StrategyProfile([[F(c, g) for c in nums[i]] for i in idx])
+                        want = [float(u) for u in utilities(game, profile)]
+                        assert np.allclose(got, want, rtol=0, atol=1e-12), (n, m, f, idx)
+        assert tied > 1000
+
+    def test_screen_refuses_a_table_of_the_wrong_shape(self):
+        strat = np.array([[0.0], [0.5], [1.0]])
+        f = SinglePeakFunction.tent(0.5)
+        best = grid_oracle._deviation_table(strat, 3, f, EXACT)  # a table for n = 3
+        with pytest.raises(ValueError, match="deviation table of shape"):
+            kernels.grid_screen(strat, np.array([[0, 2]]), f, best)
 
     def test_screen_refuses_an_unsorted_row(self):
         strat = np.array([[0.0], [0.5], [1.0]])
