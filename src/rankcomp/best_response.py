@@ -11,7 +11,9 @@ decreasing branch always costs more emphasis.
 
 Choosing the invest-subset is a 0/1 knapsack whose gains are all 1 or a
 tie share 1/(t+1).  It is solved exactly, at any m, by a dynamic program
-over least cost per exact gain (Kellerer, Pferschy & Pisinger, *Knapsack
+over least cost per gain, run on integers: gains are scaled by the lcm
+of their denominators and, in exact mode, costs and the budget by the
+lcm of the cost denominators (Kellerer, Pferschy & Pisinger, *Knapsack
 Problems*, 2004, ch. 2); the tests check it against 2^m enumeration.
 
 The public functions validate and score the profile once; the private
@@ -22,6 +24,7 @@ all its players, and a witness reuses the thresholds and plan of its value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,25 +168,38 @@ def _optimize(ths) -> BestResponse:
     invested query its margin-free role and may spend the whole budget.
     A query whose solo needs no margin has equal open and closed roles,
     so no plan is lost.  For each prefix of queries a table keeps the
-    least cost per exact gain; gains have small denominators, so the
-    tables stay small at any m.  The plan is the lowest invest mask (as
-    an integer over query bits) attaining the optimum, in its open roles
-    when it affords them.  Every threshold value is in the scores' mode,
-    so the budget's 1 comes from them.
+    least cost per gain.  The DP runs on Python ints: gains are scaled
+    by the lcm of their denominators and, in exact mode, costs and the
+    budget by the lcm of the cost denominators; float mode keeps float
+    costs and its tolerance on the budget.  Gains have small
+    denominators, so the tables stay small at any m.  The plan is the
+    lowest invest mask (as an integer over query bits) attaining the
+    optimum, in its open roles when it affords them.  Every threshold
+    value is in the scores' mode, so the budget's 1 comes from them.
     """
     one = one_like(ths[0].zero_value)
     zero = 0 * one
     zero_total = sum((t.zero_value for t in ths), zero)
-    costs = [t.cost for t in ths]
     open_gains, closed_gains = zip(*map(_gains, ths))
+    scale = math.lcm(*(g.denominator for g in open_gains + closed_gains))
+    open_gains, closed_gains = (
+        [g.numerator * scale // g.denominator for g in gains]
+        for gains in (open_gains, closed_gains)
+    )
+    costs = [t.cost for t in ths]
+    budget = one
+    if isinstance(one, Fraction):
+        budget = math.lcm(*(c.denominator for c in costs))
+        costs = [c.numerator * budget // c.denominator for c in costs]
+    zero_cost = 0 * budget
 
     def tables(gains):
-        out = [{Fraction(0): zero}]
+        out = [{0: zero_cost}]
         for c_j, g_j in zip(costs, gains):
             table = dict(out[-1])
             for g, c in out[-1].items():
                 g, c = g + g_j, c + c_j
-                if c <= one and (g not in table or c < table[g]):
+                if c <= budget and (g not in table or c < table[g]):
                     table[g] = c
             out.append(table)
         return out
@@ -193,9 +209,9 @@ def _optimize(ths) -> BestResponse:
 
     def lowest_mask(prefix, gains, affords, gain):
         # highest query first: keep it only when the rest cannot reach `gain`
-        if not reachable(prefix[-1], gain, zero, affords):
+        if not reachable(prefix[-1], gain, zero_cost, affords):
             return None
-        mask, spent = 0, zero
+        mask, spent = 0, zero_cost
         for j in reversed(range(len(ths))):
             if not reachable(prefix[j], gain, spent, affords):
                 mask |= 1 << j
@@ -203,22 +219,23 @@ def _optimize(ths) -> BestResponse:
         return mask
 
     def with_slack(cost):
-        return number_less(cost, one)
+        return number_less(cost, budget)
 
     opens, closeds = tables(open_gains), tables(closed_gains)
     sup = max(opens[-1])
     best = max(max(closeds[-1]), max(g for g, c in opens[-1].items() if with_slack(c)))
 
     open_mask = lowest_mask(opens, open_gains, with_slack, best)
-    closed_mask = lowest_mask(closeds, closed_gains, lambda cost: cost <= one, best)
+    closed_mask = lowest_mask(closeds, closed_gains, lambda cost: cost <= budget, best)
     if open_mask is not None and (closed_mask is None or open_mask <= closed_mask):
         mask, solo = open_mask, lambda th: not th.top_is_peak
     else:
         mask, solo = closed_mask, lambda th: th.beats_at_cost
     invested = frozenset(j for j in range(len(ths)) if mask >> j & 1)
     solos = frozenset(j for j in invested if solo(ths[j]))
-    plan = DeviationPlan(solos, invested - solos, zero_total + best, zero)
-    return BestResponse(sup_value=zero_total + sup, attained_value=zero_total + best, plan=plan)
+    sup, best = zero_total + Fraction(sup, scale), zero_total + Fraction(best, scale)
+    plan = DeviationPlan(solos, invested - solos, best, zero)
+    return BestResponse(sup_value=sup, attained_value=best, plan=plan)
 
 
 def best_response_witness(

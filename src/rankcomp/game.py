@@ -116,6 +116,8 @@ class SinglePeakFunction:
             if xa >= self.peak:
                 break
             if yb >= target:
+                if isinstance(target, int) and yb == target:
+                    return xb  # an int knot value: int / int would give a float
                 return xa + (target - ya) * (xb - xa) / (yb - ya)
         return float(self.peak) if isinstance(target, float) else self.peak
 

@@ -96,6 +96,10 @@ def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> TTest
     n = len(scores_a)
     if n < 2:
         raise DomainError("need at least two pairs")
+    for name, sample in (("scores_a", scores_a), ("scores_b", scores_b)):
+        for i, score in enumerate(sample):
+            if not math.isfinite(score):
+                raise DomainError(f"{name}[{i}] is {score}, not a finite score")
     diffs = [a - b for a, b in zip(scores_a, scores_b)]
     mean = sum(diffs) / n
     var = sum((d - mean) ** 2 for d in diffs) / (n - 1)

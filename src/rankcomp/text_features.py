@@ -304,6 +304,8 @@ def jaccard(terms_a: Iterable, terms_b: Iterable) -> float:
 
 def rrf_fuse(rank_lists: Sequence[Sequence], k: float = 60.0) -> dict:
     """Reciprocal rank fusion: score(item) = sum over lists of 1/(k + rank)."""
+    if not k >= 0:  # refuses NaN too; a negative k can divide by zero or invert ranks
+        raise DomainError(f"rrf constant k must be non-negative, got {k}")
     scores: dict = {}
     for ranking in rank_lists:
         for rank, item in enumerate(ranking, start=1):

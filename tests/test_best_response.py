@@ -8,7 +8,9 @@ from rankcomp.best_response import (
     best_response_witness,
     thresholds,
 )
-from rankcomp.game import EmphasisVector, RankingGame, StrategyProfile, utilities
+from rankcomp.game import (
+    EmphasisVector, RankingGame, SinglePeakFunction, StrategyProfile, utilities,
+)
 from rankcomp.numeric import DomainError, numbers_equal
 
 from conftest import (
@@ -17,9 +19,35 @@ from conftest import (
     float_instance,
     non_tent_instance,
     random_instance,
+    random_strategy,
     tie_heavy_instance,
 )
 from enumeration_oracle import enumerate_best_response
+
+# large, distinct primes: the lcm of a profile's cost denominators is far
+# above any one of them
+PRIMES = (97, 101, 999983, 1000003, 10**9 + 7, 10**12 + 39, 2**61 - 1)
+
+
+def prime_denominator_instance(rng):
+    """Tent profile whose nonzero emphases have large prime denominators.
+
+    A player copies the previous player's emphasis on a query with
+    probability 0.3, so ties (and tie-share gains) still occur.
+    """
+    n, m = rng.randint(2, 4), rng.randint(1, 7)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(m):
+            if i and rng.random() < 0.3:
+                row.append(rows[-1][j])
+            else:
+                p = rng.choice(PRIMES)
+                row.append(F(rng.randint(0, p // m), p))
+        rows.append(row)
+    peak = F(rng.randint(1, 2 * m), 2 * m)
+    return RankingGame.tent(n, m, peak), StrategyProfile(rows)
 
 
 def two_player(opponent, peak=F(1, 2), m=None):
@@ -129,6 +157,52 @@ class TestBestResponseValue:
             assert best_response_value(game, profile, player) == enumerate_best_response(
                 game, profile, player
             ), (game, profile, player)
+
+    def test_optimizer_equals_enumeration_oracle_on_prime_denominators(self, rng):
+        for _ in range(100):
+            game, profile = prime_denominator_instance(rng)
+            for player in range(game.n):
+                assert best_response_value(game, profile, player) == enumerate_best_response(
+                    game, profile, player
+                ), (game, profile, player)
+
+    @pytest.mark.parametrize("p, q", zip(PRIMES, PRIMES[1:]))
+    def test_costs_over_distinct_primes_overrun_the_budget_exactly(self, p, q):
+        # a/p + b/q exceeds 1 by less than 1/q: the two solos do not fit
+        a = 3 * p // 5
+        b = q * (p - a) // p + 1
+        game = RankingGame.tent(3, 2, F(1))
+        profile = StrategyProfile([[F(0), F(0)], [F(a, p), F(0)], [F(0), F(b, q)]])
+        br = best_response_value(game, profile, 0)
+        assert br.attained_value == br.sup_value == 1
+        assert br == enumerate_best_response(game, profile, 0)
+
+    def test_optimizer_equals_enumeration_oracle_with_int_knots(self, rng):
+        # f(x) = x on plain int knots: a zero or whole-unit top costs an int
+        f = SinglePeakFunction(((0, 0), (1, 1)), 1)
+        for _ in range(60):
+            n, m = rng.randint(2, 4), rng.randint(1, 6)
+            rows = [random_strategy(rng, m) for _ in range(n)]
+            if rng.random() < 0.3:
+                rows[-1] = EmphasisVector([F(j == 0) for j in range(m)])
+            game, profile = RankingGame(n=n, m=m, f=f), StrategyProfile(rows)
+            for player in range(n):
+                assert best_response_value(game, profile, player) == enumerate_best_response(
+                    game, profile, player
+                ), (game, profile, player)
+
+    @pytest.mark.parametrize(
+        "gap, attained, solos", [(5e-10, 1.0, {0}), (2e-9, 2.0, {0, 1})]
+    )
+    def test_float_mode_budget_slack_has_tolerance(self, gap, attained, solos):
+        # two solos cost 1 - gap: within 1e-9 of the budget they leave no slack
+        e = 0.5 - gap / 2
+        game = RankingGame.tent(2, 2, 1.0)
+        profile = StrategyProfile([[0.0, 0.0], [e, e]])
+        br = best_response_value(game, profile, 0)
+        assert br.attained_value == attained and isinstance(br.attained_value, float)
+        assert br.sup_value == 2.0
+        assert br.plan.solo_set == solos
 
     def test_optimizer_matches_enumeration_oracle_in_float_mode(self, rng):
         for _ in range(150):

@@ -9,7 +9,9 @@ from conftest import random_fraction, random_strategy
 from rankcomp import best_response, game as game_module
 from rankcomp.best_response import best_response_value, best_response_witness, thresholds
 from rankcomp.equilibria import verify_nash
-from rankcomp.game import RankingGame, StrategyProfile, induce_ranking, query_scores, utilities
+from rankcomp.game import (
+    RankingGame, SinglePeakFunction, StrategyProfile, induce_ranking, query_scores, utilities,
+)
 from rankcomp.numeric import DomainError, improves, numbers_equal, one_like, parse_number
 
 
@@ -100,6 +102,16 @@ def test_a_float_profile_scores_in_float_on_every_query():
     assert type(game.f.inverse_increasing_geq(1.0)) is float
     assert type(game.f.inverse_increasing_geq(0.0)) is float
     assert type(game.f.inverse_increasing_geq(Fraction(1))) is Fraction
+
+
+def test_int_knots_keep_an_exact_inverse_exact():
+    # f(x) = x on int knots: f(1) is the int knot value 1, and its branch
+    # inverse must not divide int by int into the float 1.0
+    f = SinglePeakFunction(((0, 0), (1, 1)), 1)
+    assert type(f(Fraction(1))) is int
+    assert [type(f.inverse_increasing_geq(t)) for t in (0, 1, Fraction(1, 3))] == [
+        int, int, Fraction]
+    assert type(f.inverse_increasing_geq(1.0)) is float
 
 
 def test_verify_nash_validates_once_and_solves_once_per_player(monkeypatch):

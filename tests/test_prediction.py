@@ -828,6 +828,13 @@ class TestPairedTTest:
         with pytest.raises(DomainError):
             paired_t_test([1, 2], [1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scores_are_refused(self, bad):
+        with pytest.raises(DomainError, match=r"scores_a\[1\]"):
+            paired_t_test([0.5, bad, 0.7], [0.4, 0.5, 0.6])
+        with pytest.raises(DomainError, match=r"scores_b\[2\]"):
+            paired_t_test([0.5, 0.6, 0.7], [0.4, 0.5, bad])
+
 
 class TestEndToEndDirection:
     def test_learned_model_beats_random_on_mimic_logs(self):

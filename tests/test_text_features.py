@@ -265,6 +265,15 @@ class TestDiversityHelpers:
         assert scores["x"] == pytest.approx(1 / 61 + 1 / 62)
         assert scores["x"] == pytest.approx(scores["y"])
 
+    @pytest.mark.parametrize("k", [-1, -3, -3.5, math.nan])
+    def test_rrf_refuses_negative_or_nan_k(self, k):
+        # each of these divides by zero, outranks rank 1 or scores NaN
+        with pytest.raises(DomainError):
+            rrf_fuse([[1, 2, 3, 4]], k=k)
+
+    def test_rrf_accepts_zero_k(self):
+        assert rrf_fuse([[1, 2]], k=0) == {1: 1.0, 2: 0.5}
+
     def test_select_dominated_middle_candidate(self):
         sims = {("q0", "q1"): 0.9, ("q1", "q2"): 0.9, ("q0", "q2"): 0.1}
         assert select_diverse_queries(["q0", "q1", "q2"], sims, 2) == ["q0", "q2"]
